@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -446,8 +447,14 @@ main(int argc, char **argv)
         bench::exmaBuildSeconds("human", OccIndexMode::Mtl);
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read once; nothing writes.
     const char *index_env = std::getenv("EXMA_INDEX_DIR");
+    // The default directory is keyed by dataset, scale and reference
+    // length, so a run never reuses an index built over another
+    // reference; an explicit EXMA_INDEX_DIR is taken as given.
+    std::ostringstream default_dir;
+    default_dir << "bench_scaling_index/human-scale" << bench::scale()
+                << "-" << ds.ref.size() << "bp";
     const std::string index_dir =
-        index_env && *index_env ? index_env : "bench_scaling_index";
+        index_env && *index_env ? index_env : default_dir.str();
     double index_save_s = 0.0;
     if (!std::filesystem::exists(std::filesystem::path(index_dir) /
                                  kManifestName)) {

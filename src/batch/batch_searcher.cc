@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -50,27 +51,35 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
     parallelFor(
         n, cfg_.grain,
         [&](u64 begin, u64 end, unsigned slot) {
+            // Each chunk is counted, then located, as one batch so the
+            // memory accesses of its queries overlap.
+            const u64 m = end - begin;
+            std::vector<const std::vector<Base> *> qs(m);
+            for (u64 j = 0; j < m; ++j)
+                qs[j] = &queries[ids ? (*ids)[begin + j] : begin + j];
+            const std::span<Interval> ivs(out.intervals.data() + begin, m);
+            std::vector<SearchStats> qstats(m);
+            table_.search(qs, ivs, qstats);
             SearchStats &acc = out.per_thread[slot];
-            for (u64 i = begin; i < end; ++i) {
-                const std::vector<Base> &q =
-                    queries[ids ? (*ids)[i] : i];
-                SearchStats qs;
-                out.intervals[i] = table_.search(q, &qs);
-                acc += qs;
+            for (u64 j = 0; j < m; ++j) {
+                acc += qstats[j];
                 if (cfg_.per_query_stats)
-                    out.per_query[i] = qs;
-                if (cfg_.locate) {
-                    if (table_.segmented()) {
-                        // Global coordinates, junction artifacts
-                        // dropped before the cap is applied.
-                        out.positions[i] = table_.locateAllGlobal(
-                            out.intervals[i], q.size(), locate_limit);
-                    } else {
-                        auto pos = table_.locateAll(out.intervals[i],
-                                                    locate_limit);
-                        std::sort(pos.begin(), pos.end());
-                        out.positions[i] = std::move(pos);
-                    }
+                    out.per_query[begin + j] = qstats[j];
+            }
+            if (cfg_.locate) {
+                const std::span<std::vector<u64>> pos(
+                    out.positions.data() + begin, m);
+                if (table_.segmented()) {
+                    // Global coordinates, junction artifacts dropped
+                    // before the cap is applied.
+                    std::vector<u64> lens(m);
+                    for (u64 j = 0; j < m; ++j)
+                        lens[j] = qs[j]->size();
+                    table_.locateAllGlobal(ivs, lens, locate_limit, pos);
+                } else {
+                    table_.fmIndex().locate(ivs, locate_limit, pos);
+                    for (std::vector<u64> &p : pos)
+                        std::sort(p.begin(), p.end());
                 }
             }
             if (cfg_.progress)

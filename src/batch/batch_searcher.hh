@@ -29,7 +29,12 @@ struct BatchConfig
 {
     /** Worker width: 0 = all hardware threads, 1 = sequential. */
     unsigned threads = 0;
-    /** Queries per dynamically claimed chunk. */
+    /**
+     * Queries per dynamically claimed chunk. The chunk is also the
+     * unit of interleaving: its queries are counted, then located, as
+     * one batch (ExmaTable::search and FmIndex::locate over spans), so
+     * a larger grain keeps more memory accesses in flight.
+     */
     u64 grain = 16;
     /**
      * Liveness hook: called once per completed chunk, from whichever
@@ -48,7 +53,8 @@ struct BatchConfig
      * comparable, text positions are. Segment-mapped tables
      * (ExmaTable::segmented()) locate through locateAllGlobal, so the
      * reported positions are global coordinates with junction
-     * artifacts already dropped.
+     * artifacts already dropped. Every row of every interval in a
+     * chunk (see grain) goes through one batched locate walker.
      */
     bool locate = false;
     /**

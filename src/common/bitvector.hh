@@ -51,6 +51,15 @@ class BitVector
         return (words_[i >> 6] >> (i & 63)) & 1;
     }
 
+    /** Start fetching the word that get(@p i) reads. */
+    void
+    prefetch(u64 i) const
+    {
+#if defined(__GNUC__) || defined(__clang__)
+        __builtin_prefetch(words_.data() + (i >> 6));
+#endif
+    }
+
     /** Build rank checkpoints; must be called after the last set(). */
     void buildRank();
 

@@ -71,25 +71,39 @@ std::vector<u64>
 ExmaTable::locateAllGlobal(const Interval &iv, u64 query_len,
                            u64 limit) const
 {
+    std::vector<u64> out;
+    locateAllGlobal({&iv, 1}, {&query_len, 1}, limit, {&out, 1});
+    return out;
+}
+
+void
+ExmaTable::locateAllGlobal(std::span<const Interval> ivs,
+                           std::span<const u64> query_lens, u64 limit,
+                           std::span<std::vector<u64>> out) const
+{
+    exma_assert(query_lens.size() == ivs.size(),
+                "batched locate: %zu query lengths for %zu intervals",
+                query_lens.size(), ivs.size());
     // Locate everything first: in a segment-mapped table the junction
     // filter decides which occurrences are real, so an early cap would
     // let artifacts crowd genuine positions out of the budget.
-    std::vector<u64> local = fm_->locateAll(iv);
-    std::vector<u64> out;
-    if (segments_.empty()) {
-        out = std::move(local);
-    } else {
-        out.reserve(local.size());
-        for (u64 pos : local) {
-            u64 global = 0;
-            if (translateLocalMatch(segments_, pos, query_len, &global))
-                out.push_back(global);
+    fm_->locate(ivs, ~u64{0}, out);
+    for (size_t j = 0; j < out.size(); ++j) {
+        std::vector<u64> &pos = out[j];
+        if (!segments_.empty()) {
+            size_t kept = 0;
+            for (size_t r = 0; r < pos.size(); ++r) {
+                u64 global = 0;
+                if (translateLocalMatch(segments_, pos[r], query_lens[j],
+                                        &global))
+                    pos[kept++] = global;
+            }
+            pos.resize(kept);
         }
+        std::sort(pos.begin(), pos.end());
+        if (pos.size() > limit)
+            pos.resize(limit);
     }
-    std::sort(out.begin(), out.end());
-    if (out.size() > limit)
-        out.resize(limit);
-    return out;
 }
 
 IndexLookup
@@ -142,6 +156,57 @@ ExmaTable::search(const std::vector<Base> &query, SearchStats *stats) const
             return Interval{iv.low, iv.low};
     }
     return iv;
+}
+
+void
+ExmaTable::search(std::span<const std::vector<Base> *const> queries,
+                  std::span<Interval> intervals,
+                  std::span<SearchStats> stats) const
+{
+    exma_assert(intervals.size() == queries.size() &&
+                    stats.size() == queries.size(),
+                "batched search: %zu queries, %zu intervals, %zu stats",
+                queries.size(), intervals.size(), stats.size());
+    const size_t kk = static_cast<size_t>(k());
+    // (query, bases still to prepend) for every query whose interval
+    // is non-empty when its k-steps are done but has a remainder.
+    std::vector<std::pair<size_t, size_t>> live;
+    live.reserve(queries.size());
+    for (size_t j = 0; j < queries.size(); ++j) {
+        const std::vector<Base> &q = *queries[j];
+        Interval iv = fm_->fullInterval();
+        size_t i = q.size();
+        const size_t rem = q.size() % kk;
+        while (!iv.empty() && i >= rem + kk) {
+            i -= kk;
+            iv = stepKmer(iv, packKmer(q.data() + i, kk), &stats[j]);
+        }
+        if (iv.empty()) {
+            iv.high = iv.low;
+        } else if (i > 0) {
+            fm_->prefetch(iv);
+            live.emplace_back(j, i);
+        }
+        intervals[j] = iv;
+    }
+    // The 1-step remainders, one round across all live queries at a
+    // time: each round's rank blocks were prefetched by the previous.
+    while (!live.empty()) {
+        size_t kept = 0;
+        for (size_t l = 0; l < live.size(); ++l) {
+            auto [j, i] = live[l];
+            Interval &iv = intervals[j];
+            iv = fm_->extend(iv, (*queries[j])[--i]);
+            ++stats[j].onestep_iterations;
+            if (iv.empty()) {
+                iv.high = iv.low;
+            } else if (i > 0) {
+                fm_->prefetch(iv);
+                live[kept++] = {j, i};
+            }
+        }
+        live.resize(kept);
+    }
 }
 
 std::vector<ExmaTable::IterTrace>

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -123,6 +124,18 @@ class ExmaTable
                     SearchStats *stats = nullptr) const;
 
     /**
+     * Batched search: intervals[j] becomes search(*queries[j]), and
+     * stats[j] accumulates that search's counters. Each query runs its
+     * k-steps as search() does; then the 1-step remainders of all
+     * still-live queries advance one round at a time, each round
+     * prefetching the next round's rank blocks, so the queries' Occ
+     * misses overlap.
+     */
+    void search(std::span<const std::vector<Base> *const> queries,
+                std::span<Interval> intervals,
+                std::span<SearchStats> stats) const;
+
+    /**
      * Text positions of up to @p limit occurrences in a search
      * interval (via the FM-Index SA samples), in row order. Sharded
      * serving translates these into global reference coordinates.
@@ -151,6 +164,15 @@ class ExmaTable
      */
     std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
                                      u64 limit = ~u64{0}) const;
+
+    /**
+     * Batched locateAllGlobal: out[j] becomes
+     * locateAllGlobal(ivs[j], query_lens[j], limit). The rows of every
+     * interval go through one batched FmIndex::locate.
+     */
+    void locateAllGlobal(std::span<const Interval> ivs,
+                         std::span<const u64> query_lens, u64 limit,
+                         std::span<std::vector<u64>> out) const;
 
     /**
      * One recorded k-step iteration of a search, for the trace-driven

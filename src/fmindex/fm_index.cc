@@ -1,5 +1,7 @@
 #include "fmindex/fm_index.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace exma {
@@ -132,12 +134,77 @@ FmIndex::locate(u64 row) const
     return sa_values_[sa_sampled_.rank1(row)] + steps;
 }
 
+void
+FmIndex::locate(std::span<const Interval> ivs, u64 limit,
+                std::span<std::vector<u64>> out) const
+{
+    exma_assert(out.size() == ivs.size(),
+                "batched locate: %zu outputs for %zu intervals",
+                out.size(), ivs.size());
+    struct Lane
+    {
+        u64 row = 0;
+        u64 steps = 0;
+        u64 *slot = nullptr; ///< where this row's position goes
+    };
+
+    // The row queue: every kept row of every interval, in order. Each
+    // output is sized up front, so a row's slot is fixed when it is
+    // queued and lanes may finish in any order.
+    size_t next_iv = 0;
+    u64 next_row = 0;
+    u64 end_row = 0;
+    u64 *next_slot = nullptr;
+    const auto start = [&](Lane &l) {
+        while (next_row == end_row) {
+            if (next_iv == ivs.size())
+                return false;
+            std::vector<u64> &o = out[next_iv];
+            o.assign(std::min(ivs[next_iv].count(), limit), 0);
+            next_row = ivs[next_iv].low;
+            end_row = next_row + o.size();
+            next_slot = o.data();
+            ++next_iv;
+        }
+        l = Lane{next_row++, 0, next_slot++};
+        rank_.prefetch(l.row);
+        sa_sampled_.prefetch(l.row);
+        return true;
+    };
+
+    Lane lanes[kLocateLanes];
+    unsigned live = 0;
+    while (live < kLocateLanes && start(lanes[live]))
+        ++live;
+    // Round robin: a lane's next row was prefetched when it last
+    // stepped, live - 1 other lanes ago.
+    while (live > 0) {
+        for (unsigned j = 0; j < live;) {
+            Lane &l = lanes[j];
+            if (sa_sampled_.get(l.row)) {
+                *l.slot = sa_values_[sa_sampled_.rank1(l.row)] + l.steps;
+                if (!start(l)) {
+                    // Queue drained: the last lane moves here and
+                    // takes its turn in this round.
+                    l = lanes[--live];
+                    continue;
+                }
+            } else {
+                l.row = lf(l.row);
+                ++l.steps;
+                rank_.prefetch(l.row);
+                sa_sampled_.prefetch(l.row);
+            }
+            ++j;
+        }
+    }
+}
+
 std::vector<u64>
 FmIndex::locateAll(const Interval &iv, u64 limit) const
 {
     std::vector<u64> out;
-    for (u64 row = iv.low; row < iv.high && out.size() < limit; ++row)
-        out.push_back(locate(row));
+    locate({&iv, 1}, limit, {&out, 1});
     return out;
 }
 

@@ -107,6 +107,14 @@ class FmIndex
     /** One backward-search step: prepend base @p c (0..3) to the match. */
     Interval extend(const Interval &iv, Base c) const;
 
+    /** Start fetching the rank blocks that extend(@p iv, ·) reads. */
+    void
+    prefetch(const Interval &iv) const
+    {
+        rank_.prefetch(iv.low);
+        rank_.prefetch(iv.high);
+    }
+
     /** Full backward search of @p query; optional access trace. */
     Interval search(const std::vector<Base> &query,
                     SearchTrace *trace = nullptr) const;
@@ -117,8 +125,27 @@ class FmIndex
     /** LF mapping: row of the suffix one position earlier in the text. */
     u64 lf(u64 row) const;
 
-    /** Text position of the suffix at @p row (uses SA samples). */
+    /**
+     * Text position of the suffix at @p row (uses SA samples): one
+     * dependent LF walk. The reference the batched locate is tested
+     * against.
+     */
     u64 locate(u64 row) const;
+
+    /** LF walks the batched locate keeps in flight. */
+    static constexpr unsigned kLocateLanes = 16;
+
+    /**
+     * Batched locate: out[i] becomes the text positions of the first
+     * @p limit rows of ivs[i], in row order — each row's position is
+     * exactly locate(row). Every row of every interval goes through one
+     * walker that keeps kLocateLanes independent LF walks in flight
+     * and prefetches each walk's next rank block and sampled-bit word
+     * before it resolves any of them, so their memory latencies
+     * overlap instead of adding up.
+     */
+    void locate(std::span<const Interval> ivs, u64 limit,
+                std::span<std::vector<u64>> out) const;
 
     /** Positions of up to @p limit occurrences in an interval. */
     std::vector<u64> locateAll(const Interval &iv, u64 limit = ~u64{0}) const;

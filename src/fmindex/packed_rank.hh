@@ -109,6 +109,15 @@ class PackedRank
         return r;
     }
 
+    /** Start fetching the block that occ(·, @p i) and symAt(@p i) read. */
+    void
+    prefetch(u64 i) const
+    {
+#if defined(__GNUC__) || defined(__clang__)
+        __builtin_prefetch(blocks_.data() + (i >> 6));
+#endif
+    }
+
     /** BWT symbol at @p row (0..4). */
     u8
     symAt(u64 row) const

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "batch/batch_searcher.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "genome/reads.hh"
 #include "genome/reference.hh"
+#include "persist/index_io.hh"
 
 namespace exma {
 namespace {
@@ -298,6 +300,114 @@ TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
                                        r.positions[0].end(), pos))
             << "rep " << rep;
     }
+}
+
+/**
+ * Scalar oracle for one located query: every row through
+ * FmIndex::locate(row). A contiguous table keeps the first @p limit
+ * rows; a segmented one translates and junction-filters every row and
+ * keeps the lowest @p limit positions (see BatchConfig::locate_limit).
+ */
+std::vector<u64>
+scalarPositions(const ExmaTable &table, const Interval &iv, u64 query_len,
+                u64 limit)
+{
+    std::vector<u64> out;
+    for (u64 row = iv.low; row < iv.high; ++row) {
+        if (!table.segmented() && out.size() == limit)
+            break;
+        u64 pos = table.fmIndex().locate(row);
+        if (!table.segmented() ||
+            translateLocalMatch(table.segments(), pos, query_len, &pos))
+            out.push_back(pos);
+    }
+    std::sort(out.begin(), out.end());
+    if (out.size() > limit)
+        out.resize(limit);
+    return out;
+}
+
+/** Every query of a chunked run against the scalar search and locate. */
+void
+expectScalarEquivalent(const ExmaTable &table,
+                       const std::vector<std::vector<Base>> &qs,
+                       const BatchConfig &cfg)
+{
+    const BatchResult r = BatchSearcher(table, cfg).search(qs);
+    const u64 limit = cfg.locate_limit ? cfg.locate_limit : ~u64{0};
+    for (size_t i = 0; i < qs.size(); ++i) {
+        SearchStats lone;
+        const Interval iv = table.search(qs[i], &lone);
+        EXPECT_EQ(r.intervals[i], iv) << "i=" << i << " grain=" << cfg.grain;
+        EXPECT_EQ(r.per_query[i], lone) << "i=" << i << " grain=" << cfg.grain;
+        EXPECT_EQ(r.positions[i],
+                  scalarPositions(table, iv, qs[i].size(), limit))
+            << "i=" << i << " grain=" << cfg.grain
+            << " limit=" << cfg.locate_limit;
+    }
+}
+
+TEST(BatchSearcher, ChunkedSearchAndLocateEqualScalarPaths)
+{
+    const auto &ref = testRef();
+    const std::vector<TextSegment> segs = {
+        {100, 0, 400}, {5000, 400, 400}};
+    const ExmaTable seg_table(ref, segs, cfgFor(OccIndexMode::Exact));
+    const std::vector<Base> local = extractSegments(ref, segs);
+
+    // Degenerate lengths (1, k - 1, k, 2k) next to the random mix;
+    // on the segmented table, short queries across the seam.
+    auto qs = randomQueries(120, 31);
+    for (size_t len : {1, 3, 4, 8})
+        qs.emplace_back(ref.begin() + 1000,
+                        ref.begin() + 1000 + static_cast<std::ptrdiff_t>(len));
+    std::vector<std::vector<Base>> seam_qs;
+    Rng rng(32);
+    for (int t = 0; t < 60; ++t) {
+        const u64 len = 2 + rng.below(10);
+        const u64 pos = t % 2 ? 400 - rng.below(len) - 1
+                              : rng.below(local.size() - len);
+        seam_qs.emplace_back(
+            local.begin() + static_cast<std::ptrdiff_t>(pos),
+            local.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    }
+
+    for (u64 grain : {1u, 5u, 16u, 1000u}) {
+        for (u64 limit : {0u, 3u}) {
+            BatchConfig cfg;
+            cfg.threads = 2;
+            cfg.grain = grain;
+            cfg.per_query_stats = true;
+            cfg.locate = true;
+            cfg.locate_limit = limit;
+            expectScalarEquivalent(mtlTable(), qs, cfg);
+            expectScalarEquivalent(seg_table, seam_qs, cfg);
+        }
+    }
+}
+
+TEST(BatchSearcher, MmapRestoredTableMatchesScalarPaths)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "batch_searcher_mmap";
+    std::filesystem::remove_all(dir);
+    saveIndex(mtlTable(), testRef(), dir.string());
+    const LoadedIndex loaded = loadIndex(dir.string());
+    ASSERT_NE(loaded.table, nullptr);
+
+    const auto qs = randomQueries(100, 33);
+    BatchConfig cfg;
+    cfg.per_query_stats = true;
+    cfg.locate = true;
+    expectScalarEquivalent(*loaded.table, qs, cfg);
+    // ...and the mapped table answers exactly as the one it was saved
+    // from.
+    const BatchResult a = BatchSearcher(*loaded.table, cfg).search(qs);
+    const BatchResult b = BatchSearcher(mtlTable(), cfg).search(qs);
+    EXPECT_EQ(a.intervals, b.intervals);
+    EXPECT_EQ(a.positions, b.positions);
+    EXPECT_EQ(a.stats, b.stats);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

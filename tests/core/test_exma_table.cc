@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hh"
 #include "core/exma_table.hh"
 #include "genome/reference.hh"
@@ -89,6 +91,69 @@ TEST_P(ExmaModeTest, SearchEqualsFmIndexAcrossModes)
             EXPECT_TRUE(got.empty()) << "t=" << t;
         else
             EXPECT_EQ(got, expect) << "t=" << t;
+    }
+}
+
+TEST_P(ExmaModeTest, BatchedSearchEqualsScalarSearch)
+{
+    ExmaTable tab(testRef(), cfgFor(GetParam()));
+    const size_t kk = static_cast<size_t>(tab.k());
+    const auto &ref = testRef();
+    Rng rng(3);
+    const auto substr = [&](u64 len) {
+        const u64 pos = rng.below(ref.size() - len);
+        return std::vector<Base>(
+            ref.begin() + static_cast<std::ptrdiff_t>(pos),
+            ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    };
+    // Empty, length 1, shorter than k, multiples of k, with a
+    // remainder; present, random (empty during the k-steps) and
+    // present k-steps behind a changed remainder (empty during the
+    // 1-step rounds).
+    std::vector<std::vector<Base>> qs = {{}, {2}};
+    for (size_t len : {kk - 1, kk, 2 * kk, 2 * kk + 1, 4 * kk + 3, size_t{40}})
+        qs.push_back(substr(len));
+    for (int t = 0; t < 60; ++t) {
+        std::vector<Base> q = substr(1 + rng.below(40));
+        if (t % 3 == 1) {
+            for (auto &b : q)
+                b = static_cast<Base>(rng.below(4));
+        } else if (t % 3 == 2 && q.size() % kk != 0) {
+            q[0] = static_cast<Base>((q[0] + 1 + rng.below(3)) % 4);
+        }
+        qs.push_back(std::move(q));
+    }
+
+    std::vector<Interval> expect;
+    std::vector<SearchStats> expect_stats(qs.size());
+    int kstep_empty = 0;
+    int onestep_empty = 0;
+    for (size_t j = 0; j < qs.size(); ++j) {
+        expect.push_back(tab.search(qs[j], &expect_stats[j]));
+        if (expect.back().empty()) {
+            kstep_empty += expect_stats[j].onestep_iterations == 0;
+            onestep_empty += expect_stats[j].onestep_iterations > 0;
+        }
+    }
+    ASSERT_GT(kstep_empty, 0);
+    ASSERT_GT(onestep_empty, 0);
+
+    for (size_t chunk : {size_t{1}, size_t{16}, qs.size()}) {
+        for (size_t begin = 0; begin < qs.size(); begin += chunk) {
+            const size_t m = std::min(chunk, qs.size() - begin);
+            std::vector<const std::vector<Base> *> ptrs;
+            for (size_t j = begin; j < begin + m; ++j)
+                ptrs.push_back(&qs[j]);
+            std::vector<Interval> ivs(m);
+            std::vector<SearchStats> stats(m);
+            tab.search(ptrs, ivs, stats);
+            for (size_t j = 0; j < m; ++j) {
+                EXPECT_EQ(ivs[j], expect[begin + j])
+                    << "chunk=" << chunk << " j=" << begin + j;
+                EXPECT_EQ(stats[j], expect_stats[begin + j])
+                    << "chunk=" << chunk << " j=" << begin + j;
+            }
+        }
     }
 }
 
@@ -213,6 +278,60 @@ TEST(ExmaTable, ContiguousTableLocateAllGlobalIsSortedLocate)
     auto expect = tab.locateAll(iv);
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(tab.locateAllGlobal(iv, q.size()), expect);
+}
+
+TEST(ExmaTable, BatchedLocateAllGlobalEqualsScalarLocate)
+{
+    // Oracle: every row through scalar FmIndex::locate, translated and
+    // junction-filtered, then sorted and capped.
+    const auto &ref = testRef();
+    const std::vector<TextSegment> segs = {
+        {100, 0, 400}, {5000, 400, 400}, {9000, 800, 50}};
+    const ExmaTable contiguous(ref, cfgFor(OccIndexMode::Exact));
+    const ExmaTable segmented(ref, segs, cfgFor(OccIndexMode::Exact));
+    const std::vector<Base> local = extractSegments(ref, segs);
+    for (const ExmaTable *tab : {&contiguous, &segmented}) {
+        const std::vector<Base> &text = tab->segmented() ? local : ref;
+        Rng rng(8);
+        std::vector<Interval> ivs;
+        std::vector<u64> lens;
+        for (int t = 0; t < 40; ++t) {
+            // Around the seams too, so junction artifacts turn up.
+            const u64 len = 2 + rng.below(8);
+            const u64 pos = t % 2 ? 400 - rng.below(len) - 1
+                                  : rng.below(text.size() - len);
+            ivs.push_back(tab->search(std::vector<Base>(
+                text.begin() + static_cast<std::ptrdiff_t>(pos),
+                text.begin() + static_cast<std::ptrdiff_t>(pos + len))));
+            lens.push_back(len);
+        }
+        u64 dropped = 0;
+        for (u64 limit : {~u64{0}, u64{1}, u64{2}}) {
+            std::vector<std::vector<u64>> out(ivs.size());
+            tab->locateAllGlobal(ivs, lens, limit, out);
+            for (size_t j = 0; j < ivs.size(); ++j) {
+                std::vector<u64> expect;
+                for (u64 row = ivs[j].low; row < ivs[j].high; ++row) {
+                    u64 pos = tab->fmIndex().locate(row);
+                    if (!tab->segmented() ||
+                        translateLocalMatch(segs, pos, lens[j], &pos))
+                        expect.push_back(pos);
+                    else
+                        ++dropped;
+                }
+                std::sort(expect.begin(), expect.end());
+                if (expect.size() > limit)
+                    expect.resize(limit);
+                EXPECT_EQ(out[j], expect) << "j=" << j << " limit=" << limit;
+                EXPECT_EQ(tab->locateAllGlobal(ivs[j], lens[j], limit),
+                          expect)
+                    << "j=" << j << " limit=" << limit;
+            }
+        }
+        if (tab->segmented()) {
+            EXPECT_GT(dropped, 0u) << "no junction artifact was exercised";
+        }
+    }
 }
 
 } // namespace

@@ -225,6 +225,64 @@ TEST_P(FmIndexConfigTest, SearchAndLocateUnaffectedBySampling)
     }
 }
 
+/** The first @p limit rows of @p iv, each through scalar locate(row). */
+std::vector<u64>
+scalarLocate(const FmIndex &fm, const Interval &iv, u64 limit)
+{
+    std::vector<u64> out;
+    for (u64 row = iv.low; row < iv.high && out.size() < limit; ++row)
+        out.push_back(fm.locate(row));
+    return out;
+}
+
+TEST_P(FmIndexConfigTest, BatchedLocateEqualsScalarLocate)
+{
+    auto ref = randomSeq(1500, 63);
+    FmIndex::Config cfg;
+    cfg.occ_sample = GetParam().occ_sample;
+    cfg.sa_sample = GetParam().sa_sample;
+    FmIndex fm(ref, cfg);
+    u64 primary = 0; // the row whose BWT symbol is $ (suffix at 0)
+    while (fm.bwtAt(primary) != 0)
+        ++primary;
+
+    std::vector<Interval> ivs = {
+        {7, 7},                           // empty
+        {20, 10},                         // inverted, also empty
+        {0, 1},                           // the sentinel suffix
+        {primary, primary + 1},           // the primary row
+        {fm.size() - 1, fm.size()},       // the last row
+        fm.search(encodeSeq("A")),        // far more rows than lanes
+        {0, FmIndex::kLocateLanes + 1},   // one row more than the lanes
+        fm.fullInterval(),
+    };
+    Rng rng(64);
+    for (int t = 0; t < 40; ++t) {
+        const u64 len = 1 + rng.below(8);
+        const u64 pos = rng.below(ref.size() - len);
+        ivs.push_back(fm.search(std::vector<Base>(
+            ref.begin() + static_cast<std::ptrdiff_t>(pos),
+            ref.begin() + static_cast<std::ptrdiff_t>(pos + len))));
+    }
+    ASSERT_GT(ivs[5].count(), FmIndex::kLocateLanes);
+
+    for (u64 limit : {~u64{0}, u64{0}, u64{1}, u64{3},
+                      u64{FmIndex::kLocateLanes + 1}}) {
+        std::vector<std::vector<u64>> out(ivs.size(), {99});
+        fm.locate(ivs, limit, out);
+        for (size_t i = 0; i < ivs.size(); ++i) {
+            const auto expect = scalarLocate(fm, ivs[i], limit);
+            EXPECT_EQ(out[i], expect) << "i=" << i << " limit=" << limit;
+            EXPECT_EQ(fm.locateAll(ivs[i], limit), expect)
+                << "i=" << i << " limit=" << limit;
+        }
+    }
+    // A walk from the primary row is zero steps: its suffix is text
+    // position 0, which every stride samples.
+    EXPECT_EQ(fm.locateAll({primary, primary + 1}),
+              (std::vector<u64>{0}));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, FmIndexConfigTest,
     ::testing::Values(FmConfigCase{1, 1}, FmConfigCase{3, 5},

@@ -20,6 +20,7 @@ import json
 import os
 import re
 import subprocess
+import tempfile
 
 import compiledb
 import cxxparse
@@ -131,10 +132,17 @@ class IRCache:
             return
         self.misses += 1
         os.makedirs(self.dir, exist_ok=True)
-        tmp = os.path.join(self.dir, key + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(ir.dumps())
-        os.replace(tmp, os.path.join(self.dir, key + ".json"))
+        # One temp file per writer: passes running at the same time may
+        # lower the same TU, and each must publish a complete file.
+        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=key + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(ir.dumps())
+            os.replace(tmp, os.path.join(self.dir, key + ".json"))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 # ---------------------------------------------------------------------------

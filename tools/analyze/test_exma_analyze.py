@@ -12,6 +12,8 @@ Run directly (no pytest dependency):
 import json
 import os
 import sys
+import tempfile
+import threading
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -20,6 +22,7 @@ sys.path.insert(0, HERE)
 import clangjson  # noqa: E402
 import compiledb  # noqa: E402
 import cxxparse  # noqa: E402
+import frontends  # noqa: E402
 import pass_blocked  # noqa: E402
 import pass_layering  # noqa: E402
 import pass_lock_order  # noqa: E402
@@ -415,6 +418,55 @@ class OndiskAbiHelpersTest(unittest.TestCase):
         self.assertIn("sizeof(exma::u32)", probe)
         self.assertIn('#include "io/format.hh"', probe)
         self.assertIn("FileHeader", " ".join(missing))
+
+
+class IRCacheTest(unittest.TestCase):
+
+    def test_racing_writers_publish_a_complete_file(self):
+        # Writer A opens its temp file, then stalls until writer B has
+        # written and published the same key; A then publishes too.
+        # Both must succeed, and the file left must be one writer's
+        # whole payload.
+        a_open = threading.Event()
+        b_done = threading.Event()
+
+        class Payload:
+            def __init__(self, name, before=None, after=None):
+                self.text = json.dumps({"writer": name,
+                                        "pad": name * 100000})
+                self.before, self.after = before, after
+
+            def dumps(self):
+                if self.before:
+                    self.before.set()
+                if self.after:
+                    self.released = self.after.wait(timeout=30)
+                return self.text
+
+        with tempfile.TemporaryDirectory() as d:
+            cache = frontends.IRCache(d)
+            a = Payload("a", before=a_open, after=b_done)
+            b = Payload("b")
+            errors = []
+
+            def put(ir):
+                try:
+                    cache.put("key", ir)
+                except Exception as e:
+                    errors.append(e)
+
+            ta = threading.Thread(target=put, args=(a,))
+            ta.start()
+            self.assertTrue(a_open.wait(timeout=30))
+            put(b)
+            b_done.set()
+            ta.join(timeout=30)
+            self.assertFalse(ta.is_alive())
+            self.assertTrue(a.released)
+            self.assertEqual(errors, [])
+            with open(os.path.join(d, "key.json"), encoding="utf-8") as f:
+                self.assertEqual(f.read(), a.text)
+            self.assertEqual(os.listdir(d), ["key.json"])
 
 
 class CompileDbTest(unittest.TestCase):
