@@ -63,7 +63,7 @@ struct BatchConfig
      * order — the usual FM-index "report up to N" idiom — then sorts
      * the survivors, so which subset is kept is index-dependent.
      * Callers needing the lowest N text positions should use
-     * ShardedExmaTable::search, whose cap applies globally after the
+     * ShardRouter::search, whose cap applies globally after the
      * cross-shard merge.
      */
     u64 locate_limit = 0;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Per-search instrumentation counters shared by every search engine
- * (ExmaTable, KStepFmIndex) and their timing models. A SearchStats is a
- * plain per-call value object — callers own one per search (or one per
- * worker thread in a batched run) and merge with operator+=, so the
- * search engines themselves stay const and freely shareable across
- * threads.
+ * Per-search instrumentation counters shared by ExmaTable, the
+ * batched and sharded serving layers above it, and the timing models.
+ * A SearchStats is a plain per-call value object — callers own one per
+ * search (or one per worker thread in a batched run) and merge with
+ * operator+=, so the search engines themselves stay const and freely
+ * shareable across threads.
  */
 
 #ifndef EXMA_COMMON_SEARCH_STATS_HH

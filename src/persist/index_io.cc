@@ -20,6 +20,9 @@ using io_detail::writeBlob;
 
 constexpr u32 kManifestMeta = 1; ///< whole-index description blob
 
+/** Manifest kind of the retired per-shard broadcast layout. */
+constexpr u32 kRetiredShardedText = 1;
+
 // --- shard plan ---------------------------------------------------------
 
 void
@@ -143,19 +146,6 @@ saveIndex(const ExmaTable &table, std::span<const Base> local_text,
 }
 
 void
-saveIndex(const ShardedExmaTable &sharded, const std::string &dir)
-{
-    BlobWriter w;
-    w.putU32(static_cast<u32>(IndexKind::ShardedText));
-    putTableConfig(w, sharded.config().table);
-    w.putU32(sharded.config().build_threads);
-    putPlan(w, sharded.plan());
-    saveManifest(dir, w);
-    for (size_t s = 0; s < sharded.shardCount(); ++s)
-        saveTableFiles(sharded.table(s), shardStem(dir, s));
-}
-
-void
 saveIndex(const ShardRouter &router, const std::string &dir)
 {
     const ShardPlan &plan = router.plan();
@@ -198,7 +188,13 @@ loadIndex(const std::string &dir)
     BlobReader r(blob, manifest_path);
 
     const u32 kind_raw = r.getU32();
-    if (kind_raw > static_cast<u32>(IndexKind::Routed))
+    if (kind_raw == kRetiredShardedText)
+        throw LoadError(manifest_path +
+                        ": index kind 1 (per-shard broadcast layout) was "
+                        "removed; rebuild the index (exma-index build "
+                        "--layout sharded saves a routed one)");
+    if (kind_raw != static_cast<u32>(IndexKind::Mono) &&
+        kind_raw != static_cast<u32>(IndexKind::Routed))
         throw LoadError(manifest_path + ": unknown index kind " +
                         std::to_string(kind_raw));
     out.kind = static_cast<IndexKind>(kind_raw);
@@ -209,28 +205,6 @@ loadIndex(const std::string &dir)
         LoadedExmaTable t = loadTableFiles(dir + "/table");
         out.files = std::move(t.files);
         out.table = std::move(t.table);
-        break;
-    }
-    case IndexKind::ShardedText: {
-        ShardedExmaTable::Config cfg;
-        cfg.table = getTableConfig(r);
-        cfg.build_threads = r.getU32();
-        ShardPlan plan = getPlan(r);
-        r.finish();
-        std::vector<std::unique_ptr<ExmaTable>> tables;
-        tables.reserve(plan.size());
-        for (size_t s = 0; s < plan.size(); ++s) {
-            LoadedExmaTable t = loadTableFiles(shardStem(dir, s));
-            for (MappedFile &f : t.files)
-                out.files.push_back(std::move(f));
-            tables.push_back(std::move(t.table));
-        }
-        // load_seconds is stamped below; buildSeconds() reports the
-        // pre-adoption wall clock, which is what the benches record.
-        const auto t1 = std::chrono::steady_clock::now();
-        out.sharded = std::make_unique<ShardedExmaTable>(
-            std::move(plan), cfg, std::move(tables),
-            std::chrono::duration<double>(t1 - t0).count());
         break;
     }
     case IndexKind::Routed: {

@@ -3,7 +3,7 @@
  * Save / load of whole indexes: a directory holding an
  * `index.exma.manifest` (kind, configs, serialized ShardPlan,
  * per-shard state) plus `table.exma.*` for a monolithic index or
- * `shardNNNN.exma.*` per shard for sharded / routed ones (scan shards
+ * `shardNNNN.exma.*` per shard for routed ones (scan shards
  * carry only the `.pac`). Single-table companion files are the layer
  * below, io/table_io.hh — this layer adds the manifest and the
  * shard-plan/router wiring, which is why it lives *above* route/shard
@@ -28,33 +28,32 @@
 
 #include "io/table_io.hh"
 #include "route/shard_router.hh"
-#include "shard/sharded_table.hh"
 
 namespace exma {
 
 /** Index kinds a directory manifest can describe. */
 enum class IndexKind : u32
 {
-    Mono = 0,        ///< one ExmaTable
-    ShardedText = 1, ///< ShardedExmaTable (broadcast serving)
-    Routed = 2,      ///< ShardRouter (prefix-routed serving)
+    Mono = 0, ///< one ExmaTable
+    // 1 is reserved: the retired per-shard broadcast layout. Loading it
+    // fails closed with a LoadError asking for a rebuild.
+    Routed = 2, ///< ShardRouter (any shard plan)
 };
 
 /**
  * Save a whole index into directory @p dir (created if absent):
  * manifest + per-table companion files. The ExmaTable overload also
  * takes the text it was built over for the `.pac` text echo (may be
- * empty). The ShardedExmaTable / ShardRouter overloads read everything
- * they need from the structures themselves.
+ * empty). The ShardRouter overload reads everything it needs from the
+ * router itself.
  */
 void saveIndex(const ExmaTable &table, std::span<const Base> local_text,
                const std::string &dir);
-void saveIndex(const ShardedExmaTable &sharded, const std::string &dir);
 void saveIndex(const ShardRouter &router, const std::string &dir);
 
 /**
- * A loaded index of any kind. Exactly one of table / sharded / router
- * is set, matching kind. files backs every borrowed hot array and is
+ * A loaded index of any kind. Exactly one of table / router is set,
+ * matching kind. files backs every borrowed hot array and is
  * declared first so the structures are destroyed before the mappings.
  */
 struct LoadedIndex
@@ -62,7 +61,6 @@ struct LoadedIndex
     std::vector<MappedFile> files;
     IndexKind kind = IndexKind::Mono;
     std::unique_ptr<ExmaTable> table;
-    std::unique_ptr<ShardedExmaTable> sharded;
     std::unique_ptr<ShardRouter> router;
     /** Wall-clock seconds of the whole load (mmap + restore). */
     double load_seconds = 0.0;
@@ -70,8 +68,9 @@ struct LoadedIndex
 
 /**
  * Load whatever index directory @p dir holds; throws LoadError on any
- * defect (missing/truncated/corrupt/version-mismatched files). The
- * sharded/routed structures report load_seconds as buildSeconds().
+ * defect (missing/truncated/corrupt/version-mismatched files or a
+ * retired layout). A loaded router reports load_seconds as
+ * buildSeconds().
  */
 LoadedIndex loadIndex(const std::string &dir);
 

@@ -4,16 +4,16 @@
  * buy throughput instead of costing it — and survives the workers it
  * buys it from.
  *
- * PR 4's ShardedExmaTable fans every query across every shard, so one
- * core does shard-count times the work per query. The ShardRouter
- * instead serves a kmerPrefix ShardPlan: a query's first prefixLen()
- * bases name the one shard owning every position its matches can start
- * at, so the router classifies a batch by prefix, hands each shard's
- * ReplicaSet only the queries it owns, and merges the responses with
- * the same dedup/global-cap machinery ShardedExmaTable uses. Queries
- * shorter than the routing prefix whose padded code range straddles a
- * partition boundary fall back to a broadcast across the straddled
- * shards (their matches' owners all lie in that range).
+ * Broadcasting every query across every shard makes one core do
+ * shard-count times the work per query. A kmerPrefix ShardPlan avoids
+ * that: a query's first prefixLen() bases name the one shard owning
+ * every position its matches can start at, so the router classifies a
+ * batch by prefix, hands each shard's ReplicaSet only the queries it
+ * owns, and merges the responses into sorted, deduplicated global
+ * positions under one global locate cap. Queries shorter than the
+ * routing prefix whose padded code range straddles a partition
+ * boundary fall back to a broadcast across the straddled shards (their
+ * matches' owners all lie in that range).
  *
  * Transports (RouterConfig::transport): each replica is either an
  * in-process ShardWorker sharing the router's address space (the
@@ -32,9 +32,11 @@
  * affected queries flagged in RoutedResult::degraded instead of
  * blocking. What fired is tallied in RoutedResult::failover.
  *
- * Text-partitioned plans are also accepted and served broadcast-only
- * through the same workers, so routed-vs-broadcast comparisons run on
- * identical execution machinery.
+ * Text-partitioned plans (fixedWidth, perRecord) are served too,
+ * broadcast-only through the same workers: this is the one serving
+ * path for every plan kind, so routed-vs-broadcast comparisons run on
+ * identical execution machinery. Overlap-zone matches found by two
+ * neighbouring shards merge into one global position.
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
@@ -263,8 +265,10 @@ class ShardRouter
      * Classify @p queries by prefix, run each on its owner shard(s)
      * through the replica tier, and merge into global positions.
      * Queries must be non-empty and no longer than
-     * plan().maxQueryLen(). cfg.locate_limit applies globally after
-     * the merge, as in ShardedExmaTable::search.
+     * plan().maxQueryLen() when the plan bounds queries.
+     * cfg.locate_limit applies globally after the merge — the lowest
+     * positions survive — never per shard (which would keep a
+     * shard-count-dependent subset).
      *
      * Failover contract: a shard call that fails (worker down, thrown
      * exception, corrupt canary) is retried on a different replica up

@@ -37,12 +37,12 @@ ShardWorker::~ShardWorker()
         resolveDown(p);
 }
 
-std::future<ShardWorker::Response>
-ShardWorker::submit(Request req)
+std::future<WorkerResponse>
+ShardWorker::submit(WorkerRequest req)
 {
     Pending p;
     p.req = std::move(req);
-    std::future<Response> future = p.promise.get_future();
+    std::future<WorkerResponse> future = p.promise.get_future();
     inbox_depth_.fetch_add(1, std::memory_order_relaxed);
 
     bool down = false;
@@ -88,8 +88,8 @@ ShardWorker::markDead()
 void
 ShardWorker::resolveDown(Pending &p)
 {
-    Response r;
-    r.status = Status::WorkerDown;
+    WorkerResponse r;
+    r.status = WorkerStatus::WorkerDown;
     r.error = "worker '" + name_ + "' down";
     r.ids = p.req.batch.ids();
     // Counters first, delivery last: a caller that observed the future
@@ -160,7 +160,7 @@ ShardWorker::serve(Pending p)
         }
     }
 
-    Response out;
+    WorkerResponse out;
     try {
         if (inject_throw)
             throw std::runtime_error("injected fault: process() threw in "
@@ -168,8 +168,8 @@ ShardWorker::serve(Pending p)
                                      name_ + "'");
         out = process(p.req);
     } catch (const std::exception &e) {
-        out = Response{};
-        out.status = Status::Failed;
+        out = WorkerResponse{};
+        out.status = WorkerStatus::Failed;
         out.error = e.what();
         out.ids = p.req.batch.ids();
     }
@@ -206,8 +206,8 @@ ShardWorker::serve(Pending p)
     p.promise.set_value(std::move(out));
 }
 
-ShardWorker::Response
-ShardWorker::process(const Request &req)
+WorkerResponse
+ShardWorker::process(const WorkerRequest &req)
 {
     return serveShardRequest(state_, req, [this] {
         heartbeat_.fetch_add(1, std::memory_order_relaxed);

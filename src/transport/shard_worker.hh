@@ -57,17 +57,6 @@ namespace exma {
 class ShardWorker final : public Transport
 {
   public:
-    /** Legacy spellings; the seam types live in transport.hh. */
-    using Request = WorkerRequest;
-    using Response = WorkerResponse;
-    using Status = WorkerStatus;
-
-    /** The integrity stamp Response::canary carries (FNV-1a). */
-    static u64 responseCanary(const Response &r)
-    {
-        return exma::responseCanary(r);
-    }
-
     /**
      * @param name      stable worker name; also the fault-injection
      *                  site ("<shard>/r<i>" in a ReplicaSet).
@@ -94,7 +83,7 @@ class ShardWorker final : public Transport
     ShardWorker(const ShardWorker &) = delete;
     ShardWorker &operator=(const ShardWorker &) = delete;
 
-    std::future<Response> submit(Request req) override;
+    std::future<WorkerResponse> submit(WorkerRequest req) override;
 
     /**
      * Simulate worker death: mark dead, cancel any injected sleep, and
@@ -136,8 +125,8 @@ class ShardWorker final : public Transport
   private:
     struct Pending
     {
-        Request req;
-        std::promise<Response> promise;
+        WorkerRequest req;
+        std::promise<WorkerResponse> promise;
     };
 
     void run();
@@ -145,7 +134,7 @@ class ShardWorker final : public Transport
     /** Resolve @p p with WorkerDown and release its inbox-depth slot. */
     void resolveDown(Pending &p);
     void markDead();
-    Response process(const Request &req);
+    WorkerResponse process(const WorkerRequest &req);
 
     std::string name_;
     ShardState state_;
@@ -162,9 +151,6 @@ class ShardWorker final : public Transport
     bool stop_ EXMA_GUARDED_BY(mtx_) = false;
     std::thread thread_; ///< last member: joins before the rest dies
 };
-
-/** The in-process Transport is the plain ShardWorker. */
-using InProcessTransport = ShardWorker;
 
 } // namespace exma
 

@@ -237,6 +237,20 @@ TEST(ExmaTable, DifferentStepsAgree)
     }
 }
 
+TEST(ExmaTable, StepKmerWithKOneEqualsExtend)
+{
+    const ExmaTable tab(testRef(), cfgFor(OccIndexMode::Exact, 1));
+    const FmIndex &fm = tab.fmIndex();
+    Rng rng(10);
+    Interval iv = fm.fullInterval();
+    for (int t = 0; t < 30; ++t) {
+        const Base c = static_cast<Base>(rng.below(4));
+        const Interval a = fm.extend(iv, c);
+        ASSERT_EQ(tab.stepKmer(iv, c), a) << "t=" << t;
+        iv = a.empty() ? fm.fullInterval() : a;
+    }
+}
+
 TEST(ExmaTable, SegmentedBuildDropsJunctionArtifacts)
 {
     // ref = AAAA CCCC TTTT GGGG; segments extract AAAA + GGGG, whose

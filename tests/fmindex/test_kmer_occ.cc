@@ -4,9 +4,9 @@
 
 #include "common/dna.hh"
 #include "common/rng.hh"
-#include "fmindex/fm_index.hh"
+#include "core/exma_table.hh"
 #include "fmindex/kmer_occ.hh"
-#include "fmindex/kstep_fm.hh"
+#include "fmindex/suffix_array.hh"
 
 namespace exma {
 namespace {
@@ -205,12 +205,16 @@ class KStepEquivalenceTest : public ::testing::TestWithParam<int>
 
 TEST_P(KStepEquivalenceTest, SearchEqualsOneStepFmIndex)
 {
+    // The k-step search (ExmaTable over the exact k-mer Occ table) must
+    // return exactly the 1-step FM-index interval, in floor(|Q|/k)
+    // k-steps plus |Q| mod k 1-steps.
     const int k = GetParam();
-    auto ref = randomSeq(4000, 100 + static_cast<u64>(k));
-    auto sa = buildSuffixArray(ref);
-    FmIndex fm(ref, sa);
-    KmerOccTable tab(ref, sa, k);
-    KStepFmIndex kfm(fm, tab);
+    const auto ref = randomSeq(4000, 100 + static_cast<u64>(k));
+    ExmaTable::Config cfg;
+    cfg.k = k;
+    cfg.mode = OccIndexMode::Exact;
+    const ExmaTable tab(ref, cfg);
+    const FmIndex &fm = tab.fmIndex();
 
     Rng rng(200 + static_cast<u64>(k));
     for (int t = 0; t < 120; ++t) {
@@ -218,7 +222,7 @@ TEST_P(KStepEquivalenceTest, SearchEqualsOneStepFmIndex)
         // exercise remainders of every residue class mod k.
         const u64 len = 1 + rng.below(36);
         std::vector<Base> q;
-        if (t % 2 == 0 && len <= ref.size()) {
+        if (t % 2 == 0) {
             const u64 pos = rng.below(ref.size() - len + 1);
             q.assign(ref.begin() + static_cast<std::ptrdiff_t>(pos),
                      ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
@@ -229,7 +233,7 @@ TEST_P(KStepEquivalenceTest, SearchEqualsOneStepFmIndex)
         }
         const Interval expect = fm.search(q);
         SearchStats stats;
-        const Interval got = kfm.search(q, &stats);
+        const Interval got = tab.search(q, &stats);
         if (expect.empty()) {
             EXPECT_TRUE(got.empty()) << "k=" << k << " t=" << t;
         } else {
@@ -243,27 +247,6 @@ TEST_P(KStepEquivalenceTest, SearchEqualsOneStepFmIndex)
 
 INSTANTIATE_TEST_SUITE_P(Steps, KStepEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8));
-
-TEST(KStepFmIndex, StepKmerWithKOneEqualsExtend)
-{
-    auto ref = randomSeq(800, 9);
-    auto sa = buildSuffixArray(ref);
-    FmIndex fm(ref, sa);
-    KmerOccTable tab(ref, sa, 1);
-    KStepFmIndex kfm(fm, tab);
-    Rng rng(10);
-    Interval iv = fm.fullInterval();
-    for (int t = 0; t < 30; ++t) {
-        Base c = static_cast<Base>(rng.below(4));
-        Interval a = fm.extend(iv, c);
-        Interval b = kfm.stepKmer(iv, c);
-        ASSERT_EQ(a, b);
-        if (a.empty())
-            iv = fm.fullInterval();
-        else
-            iv = a;
-    }
-}
 
 } // namespace
 } // namespace exma

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -363,25 +364,31 @@ TEST(IndexRoundTripTest, MonoDirectory)
     EXPECT_GE(loaded.load_seconds, 0.0);
 }
 
-TEST(IndexRoundTripTest, ShardedTextDirectory)
+TEST(IndexRoundTripTest, TextPlanRoutedDirectory)
 {
+    // A fixed-width (text-partitioned) plan saves as a Routed index and
+    // loads back serving the same hits and stats by broadcast.
     const ShardPlan plan =
         ShardPlan::fixedWidth(testRef().size(), 3, 64);
-    const ShardedExmaTable built(
-        testRef(), plan,
-        ShardedExmaTable::Config{cfgFor(OccIndexMode::Exact), 0});
-    const std::string dir = tempDir("idx_sharded");
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), plan, cfg);
+    const std::string dir = tempDir("idx_text_plan");
     saveIndex(built, dir);
     const LoadedIndex loaded = loadIndex(dir);
-    ASSERT_EQ(loaded.kind, IndexKind::ShardedText);
-    ASSERT_NE(loaded.sharded, nullptr);
-    ASSERT_EQ(loaded.sharded->shardCount(), built.shardCount());
+    ASSERT_EQ(loaded.kind, IndexKind::Routed);
+    ASSERT_NE(loaded.router, nullptr);
+    ASSERT_EQ(loaded.router->shardCount(), built.shardCount());
+    EXPECT_EQ(loaded.router->plan().kind(), ShardPlanKind::Text);
+    EXPECT_EQ(loaded.router->totalRows(), built.totalRows());
 
     const auto queries = refQueries(40, 32);
-    const ShardedResult rb = built.search(queries);
-    const ShardedResult rl = loaded.sharded->search(queries);
+    const RoutedResult rb = built.search(queries);
+    const RoutedResult rl = loaded.router->search(queries);
     EXPECT_EQ(rb.hits, rl.hits);
     EXPECT_EQ(rb.stats, rl.stats);
+    EXPECT_EQ(rb.per_shard, rl.per_shard);
+    EXPECT_EQ(rl.broadcast_queries, queries.size());
     for (const auto &h : rb.hits)
         EXPECT_FALSE(h.empty());
 }
@@ -426,6 +433,52 @@ TEST(IndexRoundTripTest, RoutedWithScanShards)
     const auto queries = refQueries(20, 32);
     EXPECT_EQ(built.search(queries).hits,
               loaded.router->search(queries).hits);
+}
+
+TEST(IndexRoundTripTest, RetiredAndUnknownKindsFailClosed)
+{
+    // Kind 1 (the retired per-shard broadcast layout) and kind 3 (never
+    // assigned) must be refused even when everything after the kind is
+    // a well-formed manifest: rewrite a valid routed manifest with only
+    // its kind word changed, in an intact container.
+    const ShardPlan plan =
+        ShardPlan::fixedWidth(testRef().size(), 2, 64);
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), plan, cfg);
+    const std::string dir = tempDir("idx_kinds");
+    saveIndex(built, dir);
+    const std::string manifest = dir + "/" + kManifestName;
+    std::vector<u8> routed_blob;
+    {
+        const MappedFile file(manifest);
+        routed_blob = FileView(file, kMagicManifest).readBlob(1);
+    }
+    ASSERT_NO_THROW(loadIndex(dir));
+
+    for (const u32 kind : {1u, 3u}) {
+        BlobWriter w;
+        w.putU32(kind);
+        std::vector<u8> blob = routed_blob;
+        std::copy(w.bytes().begin(), w.bytes().end(), blob.begin());
+        FileBuilder fb(kMagicManifest);
+        fb.writeArray<u8>(1, blob);
+        fb.save(manifest);
+        try {
+            loadIndex(dir);
+            ADD_FAILURE() << "kind " << kind << " loaded";
+        } catch (const LoadError &e) {
+            const std::string what = e.what();
+            if (kind == 1) {
+                EXPECT_NE(what.find("removed"), std::string::npos) << what;
+                EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+            } else {
+                EXPECT_NE(what.find("unknown index kind 3"),
+                          std::string::npos)
+                    << what;
+            }
+        }
+    }
 }
 
 TEST(IndexRoundTripTest, CorruptManifestFailsClosed)

@@ -18,9 +18,6 @@
 namespace exma {
 namespace {
 
-using Response = ShardWorker::Response;
-using Status = ShardWorker::Status;
-
 const std::vector<std::vector<Base>> &
 batch()
 {
@@ -29,10 +26,10 @@ batch()
     return queries;
 }
 
-ShardWorker::Request
+WorkerRequest
 requestFor(const std::vector<std::vector<Base>> &queries)
 {
-    ShardWorker::Request req;
+    WorkerRequest req;
     std::vector<u32> ids;
     for (u32 i = 0; i < queries.size(); ++i)
         ids.push_back(i);
@@ -41,8 +38,8 @@ requestFor(const std::vector<std::vector<Base>> &queries)
 }
 
 /** A future must resolve within the suite's patience, not hang CI. */
-Response
-resolved(std::future<Response> &fut)
+WorkerResponse
+resolved(std::future<WorkerResponse> &fut)
 {
     const auto status = fut.wait_for(std::chrono::seconds(60));
     EXPECT_EQ(status, std::future_status::ready)
@@ -59,7 +56,7 @@ TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)
     // injected sleep.
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@w:ms=60000")));
-    std::vector<std::future<Response>> futs;
+    std::vector<std::future<WorkerResponse>> futs;
     {
         ShardWorker worker("w", nullptr, nullptr, nullptr);
         for (int i = 0; i < 3; ++i)
@@ -67,8 +64,8 @@ TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)
         // Destructor runs with one request mid-sleep and two queued.
     }
     for (auto &fut : futs) {
-        const Response r = resolved(fut);
-        EXPECT_EQ(r.status, Status::WorkerDown);
+        const WorkerResponse r = resolved(fut);
+        EXPECT_EQ(r.status, WorkerStatus::WorkerDown);
         EXPECT_NE(r.error.find("down"), std::string::npos);
         EXPECT_EQ(r.ids.size(), batch().size());
         EXPECT_TRUE(r.hits.empty()) << "down responses carry no hits";
@@ -82,17 +79,17 @@ TEST(WorkerRobustness, ProcessThrowSurfacesAsFailedWithMessage)
     ShardWorker worker("w", nullptr, nullptr, nullptr);
 
     auto failing = worker.submit(requestFor(batch()));
-    const Response failed = resolved(failing);
-    EXPECT_EQ(failed.status, Status::Failed);
+    const WorkerResponse failed = resolved(failing);
+    EXPECT_EQ(failed.status, WorkerStatus::Failed);
     EXPECT_NE(failed.error.find("injected fault"), std::string::npos);
     EXPECT_NE(failed.error.find("'w'"), std::string::npos);
 
     // The worker survives the throw: the next request is served.
     auto fine = worker.submit(requestFor(batch()));
-    const Response ok = resolved(fine);
-    EXPECT_EQ(ok.status, Status::Ok);
+    const WorkerResponse ok = resolved(fine);
+    EXPECT_EQ(ok.status, WorkerStatus::Ok);
     EXPECT_EQ(ok.hits.size(), batch().size());
-    EXPECT_EQ(ShardWorker::responseCanary(ok), ok.canary);
+    EXPECT_EQ(responseCanary(ok), ok.canary);
     EXPECT_EQ(worker.processed(), 2u)
         << "Failed requests still count as consumed";
 }
@@ -107,12 +104,12 @@ TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 
     worker.kill();
     EXPECT_TRUE(worker.isDead());
-    EXPECT_EQ(resolved(in_flight).status, Status::WorkerDown)
+    EXPECT_EQ(resolved(in_flight).status, WorkerStatus::WorkerDown)
         << "kill must cancel the injected sleep";
-    EXPECT_EQ(resolved(queued).status, Status::WorkerDown);
+    EXPECT_EQ(resolved(queued).status, WorkerStatus::WorkerDown);
 
     auto refused = worker.submit(requestFor(batch()));
-    EXPECT_EQ(resolved(refused).status, Status::WorkerDown)
+    EXPECT_EQ(resolved(refused).status, WorkerStatus::WorkerDown)
         << "submitting to a dead worker resolves immediately";
     EXPECT_EQ(worker.inboxDepth(), 0u);
     EXPECT_EQ(worker.processed(), 0u);
@@ -123,8 +120,8 @@ TEST(WorkerRobustness, ServedRequestsAdvanceHeartbeatAndDrainDepth)
     ShardWorker worker("w", nullptr, nullptr, nullptr);
     EXPECT_EQ(worker.heartbeat(), 0u);
     auto fut = worker.submit(requestFor(batch()));
-    const Response r = resolved(fut);
-    EXPECT_EQ(r.status, Status::Ok);
+    const WorkerResponse r = resolved(fut);
+    EXPECT_EQ(r.status, WorkerStatus::Ok);
     EXPECT_EQ(worker.inboxDepth(), 0u);
     EXPECT_GE(worker.heartbeat(), 2u)
         << "dequeue and completion both tick";
@@ -137,10 +134,10 @@ TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)
         FaultInjector::parseSpec("corrupt@w:nth=1")));
     ShardWorker worker("w", nullptr, nullptr, nullptr);
     auto fut = worker.submit(requestFor(batch()));
-    const Response r = resolved(fut);
-    EXPECT_EQ(r.status, Status::Ok)
+    const WorkerResponse r = resolved(fut);
+    EXPECT_EQ(r.status, WorkerStatus::Ok)
         << "corruption is silent at the transport layer";
-    EXPECT_NE(ShardWorker::responseCanary(r), r.canary)
+    EXPECT_NE(responseCanary(r), r.canary)
         << "recomputing the canary must expose the corruption";
 }
 

@@ -1,3 +1,9 @@
+// Differential tests for text-partitioned plans (fixedWidth, perRecord)
+// served through ShardRouter: hit sets, stats and the global
+// locate_limit must equal one monolithic table's. The suite keeps the
+// name of the dedicated sharded-table class that used to serve these
+// plans, so the case names carry over unchanged.
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -5,7 +11,7 @@
 #include "common/rng.hh"
 #include "genome/reads.hh"
 #include "genome/reference.hh"
-#include "shard/sharded_table.hh"
+#include "route/shard_router.hh"
 
 namespace exma {
 namespace {
@@ -21,6 +27,14 @@ tableCfg(int k, OccIndexMode mode = OccIndexMode::Exact)
     cfg.mtl.epochs = 10;
     cfg.mtl.samples_per_class = 512;
     return cfg;
+}
+
+RouterConfig
+routerCfg(int k, OccIndexMode mode = OccIndexMode::Exact)
+{
+    RouterConfig rcfg;
+    rcfg.table = tableCfg(k, mode);
+    return rcfg;
 }
 
 /** Ground truth: one monolithic table's located, sorted hit set. */
@@ -76,23 +90,25 @@ TEST(ShardedExmaTable, HitSetMatchesSingleTableOnAllDatasets)
 {
     for (const std::string &name : datasetNames()) {
         const Dataset ds = makeDataset(name, 0.001);
-        const auto cfg = tableCfg(ds.exma_k);
-        const ExmaTable single(ds.ref, cfg);
+        const ExmaTable single(ds.ref, tableCfg(ds.exma_k));
 
         for (unsigned n_shards : {1u, 2u, 8u}) {
             const auto plan = ShardPlan::fixedWidth(
                 ds.ref.size(), n_shards, kMaxQueryLen);
-            ShardedExmaTable::Config scfg;
-            scfg.table = cfg;
-            const ShardedExmaTable sharded(ds.ref, plan, scfg);
-            ASSERT_EQ(sharded.shardCount(), plan.size());
+            const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
+            ASSERT_EQ(router.shardCount(), plan.size());
 
             const auto qs = queryMix(ds.ref, plan, 7 + n_shards);
             BatchConfig bc;
             bc.threads = 4;
             bc.grain = 3;
-            const ShardedResult r = sharded.search(qs, bc);
+            const RoutedResult r = router.search(qs, bc);
             ASSERT_EQ(r.hits.size(), qs.size());
+            // Text plans have no routing prefix: every query broadcasts.
+            if (plan.size() > 1) {
+                EXPECT_EQ(r.broadcast_queries, qs.size());
+                EXPECT_EQ(r.routed_queries, 0u);
+            }
 
             for (size_t i = 0; i < qs.size(); ++i) {
                 const auto expect = singleTableHits(single, qs[i]);
@@ -112,9 +128,7 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 8, kMaxQueryLen);
     ASSERT_GE(plan.size(), 2u);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
 
     for (size_t s = 1; s < plan.size(); ++s) {
         const u64 boundary = plan.shards()[s].begin;
@@ -123,7 +137,7 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
             ds.ref.begin() + static_cast<std::ptrdiff_t>(start),
             ds.ref.begin() +
                 static_cast<std::ptrdiff_t>(start + kMaxQueryLen));
-        const auto hits = sharded.findAll(q);
+        const auto hits = router.findAll(q);
         // The planted occurrence is reported once, despite straddling
         // the boundary (and possibly lying in two shards' overlap).
         EXPECT_EQ(std::count(hits.begin(), hits.end(), start), 1)
@@ -135,12 +149,9 @@ TEST(ShardedExmaTable, BoundarySpanningMatchFoundExactlyOnce)
 TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
 {
     const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const ExmaTable single(ds.ref, cfg);
+    const ExmaTable single(ds.ref, tableCfg(ds.exma_k));
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 1, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = cfg;
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
 
     const auto qs = queryMix(ds.ref, plan, 5);
     SearchStats expect;
@@ -148,7 +159,7 @@ TEST(ShardedExmaTable, OneShardEqualsSingleTableStats)
     for (const auto &q : qs)
         expect_hits.push_back(singleTableHits(single, q, &expect));
 
-    const ShardedResult r = sharded.search(qs);
+    const RoutedResult r = router.search(qs);
     EXPECT_EQ(r.stats, expect); // one shard == the monolithic table
     for (size_t i = 0; i < qs.size(); ++i)
         EXPECT_EQ(r.hits[i], expect_hits[i]);
@@ -159,12 +170,10 @@ TEST(ShardedExmaTable, PerShardStatsMergeToTotal)
 {
     const Dataset ds = makeDataset("picea", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 4, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
 
     const auto qs = queryMix(ds.ref, plan, 11);
-    const ShardedResult r = sharded.search(qs);
+    const RoutedResult r = router.search(qs);
     ASSERT_EQ(r.per_shard.size(), plan.size());
     SearchStats merged;
     for (const SearchStats &s : r.per_shard)
@@ -174,7 +183,7 @@ TEST(ShardedExmaTable, PerShardStatsMergeToTotal)
 
     // findAll merges the same per-shard stats for a lone query.
     SearchStats lone;
-    const auto hits = sharded.findAll(qs[0], &lone);
+    const auto hits = router.findAll(qs[0], &lone);
     EXPECT_GT(lone.kstep_iterations, 0u);
     EXPECT_EQ(hits, r.hits[0]);
 }
@@ -183,15 +192,13 @@ TEST(ShardedExmaTable, LearnedModeMatchesExactMode)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 2, kMaxQueryLen);
-    ShardedExmaTable::Config exact, mtl;
-    exact.table = tableCfg(ds.exma_k, OccIndexMode::Exact);
-    mtl.table = tableCfg(ds.exma_k, OccIndexMode::Mtl);
-    const ShardedExmaTable a(ds.ref, plan, exact);
-    const ShardedExmaTable b(ds.ref, plan, mtl);
+    const ShardRouter a(ds.ref, plan,
+                        routerCfg(ds.exma_k, OccIndexMode::Exact));
+    const ShardRouter b(ds.ref, plan, routerCfg(ds.exma_k, OccIndexMode::Mtl));
 
     const auto qs = queryMix(ds.ref, plan, 23);
-    const ShardedResult ra = a.search(qs);
-    const ShardedResult rb = b.search(qs);
+    const RoutedResult ra = a.search(qs);
+    const RoutedResult rb = b.search(qs);
     for (size_t i = 0; i < qs.size(); ++i)
         EXPECT_EQ(ra.hits[i], rb.hits[i]) << "query " << i;
 }
@@ -211,18 +218,19 @@ TEST(ShardedExmaTable, PerRecordPlanFindsWithinRecordMatches)
 
     const auto plan = ShardPlan::perRecord(ds.records);
     ASSERT_EQ(plan.size(), 2u);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(5);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(5));
 
     // A probe from the middle of chrB, located globally.
     const u64 start = 4096 + 1000;
     const std::vector<Base> q(
         ds.ref.begin() + start, ds.ref.begin() + start + 20);
-    const auto hits = sharded.findAll(q);
+    const auto hits = router.findAll(q);
     EXPECT_EQ(std::count(hits.begin(), hits.end(), start), 1);
     // Unbounded plans accept long queries.
     EXPECT_FALSE(plan.boundsQueries());
+    const std::vector<Base> long_q(ds.ref.begin() + 100,
+                                   ds.ref.begin() + 100 + 2 * 4096 / 3);
+    EXPECT_EQ(router.findAll(long_q), std::vector<u64>{100});
 }
 
 TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
@@ -231,12 +239,9 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
     // shard's hits in SA order — an arbitrary, shard-count-dependent
     // subset. The cap must instead keep the lowest global positions.
     const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const ExmaTable single(ds.ref, cfg);
+    const ExmaTable single(ds.ref, tableCfg(ds.exma_k));
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 8, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = cfg;
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
+    const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
 
     // Short queries so several have multiple occurrences.
     std::vector<std::vector<Base>> qs;
@@ -248,7 +253,7 @@ TEST(ShardedExmaTable, LocateLimitAppliesGloballyAfterMerge)
     }
     BatchConfig bc;
     bc.locate_limit = 3;
-    const ShardedResult r = sharded.search(qs, bc);
+    const RoutedResult r = router.search(qs, bc);
     bool saw_capped = false;
     for (size_t i = 0; i < qs.size(); ++i) {
         const auto full = singleTableHits(single, qs[i]);
@@ -267,10 +272,8 @@ TEST(ShardedExmaTable, EmptyBatch)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto plan = ShardPlan::fixedWidth(ds.ref.size(), 2, kMaxQueryLen);
-    ShardedExmaTable::Config scfg;
-    scfg.table = tableCfg(ds.exma_k);
-    const ShardedExmaTable sharded(ds.ref, plan, scfg);
-    const ShardedResult r = sharded.search({});
+    const ShardRouter router(ds.ref, plan, routerCfg(ds.exma_k));
+    const RoutedResult r = router.search({});
     EXPECT_TRUE(r.hits.empty());
     EXPECT_EQ(r.queries, 0u);
     EXPECT_EQ(r.stats, SearchStats{});

@@ -199,7 +199,6 @@ tableConfig(const Options &opt, const Dataset &ds)
 struct Index
 {
     std::unique_ptr<ExmaTable> table;
-    std::unique_ptr<ShardedExmaTable> sharded;
     std::unique_ptr<ShardRouter> router;
     LoadedIndex loaded; ///< keeps the mmaps alive for loaded indexes
 
@@ -213,8 +212,6 @@ struct Index
                     table->search(queries[i]), queries[i].size());
             return hits;
         }
-        if (sharded)
-            return sharded->search(queries).hits;
         return router->search(queries).hits;
     }
 };
@@ -228,15 +225,16 @@ buildIndex(const Options &opt, const Dataset &ds, Metrics &metrics)
     if (opt.layout == "mono") {
         idx.table = std::make_unique<ExmaTable>(ds.ref, cfg);
         metrics.put("table_build_s", now() - t0);
-    } else if (opt.layout == "sharded") {
-        const ShardPlan plan = ShardPlan::fixedWidth(
-            ds.ref.size(), opt.shards, opt.max_query_len);
-        idx.sharded = std::make_unique<ShardedExmaTable>(
-            ds.ref, plan, ShardedExmaTable::Config{cfg, 0});
-        metrics.put("table_build_s", idx.sharded->buildSeconds());
     } else {
-        const ShardPlan plan = ShardPlan::kmerPrefix(
-            ds.ref, opt.shards, opt.max_query_len, opt.prefix_len);
+        // "sharded" partitions the text into fixed-width shards served
+        // by broadcast; "routed" partitions by k-mer prefix. Both are
+        // ShardRouter indexes on disk.
+        const ShardPlan plan =
+            opt.layout == "sharded"
+                ? ShardPlan::fixedWidth(ds.ref.size(), opt.shards,
+                                        opt.max_query_len)
+                : ShardPlan::kmerPrefix(ds.ref, opt.shards,
+                                        opt.max_query_len, opt.prefix_len);
         RouterConfig rcfg;
         rcfg.table = cfg;
         idx.router = std::make_unique<ShardRouter>(ds.ref, plan, rcfg);
@@ -252,8 +250,6 @@ saveBuilt(const Index &idx, const Dataset &ds, const std::string &dir,
     const double t0 = now();
     if (idx.table)
         saveIndex(*idx.table, ds.ref, dir);
-    else if (idx.sharded)
-        saveIndex(*idx.sharded, dir);
     else
         saveIndex(*idx.router, dir);
     metrics.put("index_save_s", now() - t0);
@@ -274,8 +270,6 @@ kindName(IndexKind kind)
     switch (kind) {
     case IndexKind::Mono:
         return "mono";
-    case IndexKind::ShardedText:
-        return "sharded";
     case IndexKind::Routed:
         return "routed";
     }
@@ -322,9 +316,6 @@ cmdInfo(const Options &opt)
     if (idx.loaded.table != nullptr) {
         std::cout << "k=" << idx.loaded.table->k()
                   << " rows=" << idx.loaded.table->rows() << "\n";
-    } else if (idx.loaded.sharded != nullptr) {
-        std::cout << "shards=" << idx.loaded.sharded->shardCount()
-                  << " rows=" << idx.loaded.sharded->totalRows() << "\n";
     } else {
         std::cout << "shards=" << idx.loaded.router->shardCount()
                   << " rows=" << idx.loaded.router->totalRows()
@@ -346,8 +337,6 @@ cmdVerify(const Options &opt)
     // Route searches through the loaded structures.
     if (loaded.loaded.table)
         loaded.table = std::move(loaded.loaded.table);
-    else if (loaded.loaded.sharded)
-        loaded.sharded = std::move(loaded.loaded.sharded);
     else
         loaded.router = std::move(loaded.loaded.router);
 

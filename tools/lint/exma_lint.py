@@ -256,8 +256,7 @@ def check_bench_json(root):
 # pool-parallel above the row threshold).
 CONCURRENCY_MACHINERY_RE = re.compile(
     r"\b(ThreadPool|parallelFor|BatchSearcher|ShardWorker|ShardRouter"
-    r"|ShardedExmaTable|KmerOccTable|std::thread|std::jthread"
-    r"|std::async)\b")
+    r"|KmerOccTable|std::thread|std::jthread|std::async)\b")
 
 ADD_TEST_RE = re.compile(r"exma_add_test\(\s*([^\s)]+)([^)]*)\)")
 
