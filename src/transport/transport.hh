@@ -8,31 +8,49 @@
  * exceptions, and a future obtained from submit() is never abandoned
  * to std::future_error.
  *
- * Two implementations exist: ShardWorker (the in-process inbox +
- * dedicated thread — the default, and the differential oracle) and
- * SocketTransport (a spawned exma-worker child process behind a Unix
- * socket speaking length-prefixed canary-stamped frames). ReplicaSet,
- * WorkerSupervisor and ShardRouter only ever talk through this
- * interface, so the process boundary is a construction-time choice,
- * not a routing-code fork.
+ * Transport owns the one inbox protocol every replica speaks: a
+ * queue drained in submission order by a dedicated serving thread,
+ * the liveness counters, the idempotent kill/drain, and fault
+ * injection (src/fault/) probed at the replica's stable name on every
+ * dequeue — kill, hang, delay, compute throw, and a payload flip
+ * after the integrity canary is stamped. Two transports exist and
+ * differ only in how one request is served (call) and how an
+ * in-flight one is cut short (interrupt): ShardWorker computes in
+ * process (the default, and the differential oracle), SocketTransport
+ * round-trips frames to a spawned exma-worker child. ReplicaSet,
+ * WorkerSupervisor and ShardRouter only ever talk through this class,
+ * so the process boundary is a construction-time choice, not a
+ * routing-code fork.
  *
  * The liveness surface (inboxDepth / heartbeat / processed / isDead /
- * kill) is part of the interface because the failover tier is built
- * on it: power-of-two-choices reads inboxDepth, the supervisor reads
+ * kill) is part of the seam because the failover tier is built on
+ * it: power-of-two-choices reads inboxDepth, the supervisor reads
  * heartbeat, and kill() is the one idempotent crash switch every
  * layer (supervisor, router reap path, tests) may pull.
+ *
+ * Thread-safety analysis: the inbox deque and stop flag are
+ * EXMA_GUARDED_BY the inbox mutex; depth/heartbeat/processed/dead are
+ * lock-free atomics. A derived transport's own state must be
+ * immutable once start() runs, or be touched by the serving thread
+ * only; route anything else through a mutex or an atomic. The
+ * analysis gate is on the clang CI leg.
  */
 
 #ifndef EXMA_TRANSPORT_TRANSPORT_HH
 #define EXMA_TRANSPORT_TRANSPORT_HH
 
+#include <atomic>
+#include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "batch/batch_searcher.hh"
 #include "common/search_stats.hh"
+#include "common/thread_annotations.hh"
 #include "common/types.hh"
+#include "fault/fault_injector.hh"
 #include "transport/query_batch.hh"
 
 namespace exma {
@@ -80,7 +98,15 @@ u64 responseCanary(const WorkerResponse &r);
 class Transport
 {
   public:
-    virtual ~Transport() = default;
+    /**
+     * Resolves everything still queued with WorkerDown (never a
+     * broken promise). The derived destructor must already have
+     * called stop().
+     */
+    virtual ~Transport();
+
+    Transport(const Transport &) = delete;
+    Transport &operator=(const Transport &) = delete;
 
     /**
      * Enqueue a request; the future resolves when the replica has
@@ -88,7 +114,7 @@ class Transport
      * blocks; submitting to a dead replica resolves immediately with
      * WorkerDown.
      */
-    virtual std::future<WorkerResponse> submit(WorkerRequest req) = 0;
+    std::future<WorkerResponse> submit(WorkerRequest req);
 
     /**
      * Put the replica down: mark dead, interrupt whatever it is
@@ -96,26 +122,94 @@ class Transport
      * Idempotent — the supervisor and the router's reap path may call
      * it repeatedly on an already-dead replica.
      */
-    virtual void kill() = 0;
+    void kill();
 
-    virtual bool isDead() const = 0;
+    bool isDead() const { return dead_.load(std::memory_order_acquire); }
 
     /** Queued + in-flight requests — the power-of-two-choices load
      *  signal. */
-    virtual u64 inboxDepth() const = 0;
+    u64 inboxDepth() const
+    {
+        return inbox_depth_.load(std::memory_order_relaxed);
+    }
 
     /** Liveness counter: ticks on dequeue and per processed chunk. A
      *  replica with inboxDepth() > 0 and a frozen heartbeat is hung. */
-    virtual u64 heartbeat() const = 0;
+    u64 heartbeat() const
+    {
+        return heartbeat_.load(std::memory_order_relaxed);
+    }
 
     /** Requests served to completion (Ok or Failed; monotonic). */
-    virtual u64 processed() const = 0;
+    u64 processed() const
+    {
+        return processed_.load(std::memory_order_relaxed);
+    }
 
     /** Stable replica name; also the fault-injection site. */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return name_; }
 
-    virtual bool hasTable() const = 0;
-    virtual bool isEmpty() const = 0;
+    bool hasTable() const { return has_table_; }
+    bool isEmpty() const { return is_empty_; }
+
+  protected:
+    Transport(std::string name, bool has_table, bool is_empty);
+
+    /**
+     * Lifetime rule: the serving thread calls the virtual call() and
+     * interrupt() hooks, so it may only run while the derived object
+     * is whole. Each derived constructor calls start() as its last
+     * statement (every hook's state is ready before the first
+     * dequeue), and each derived destructor calls stop() as its first
+     * (the thread is joined before any derived member dies).
+     */
+    void start();
+    /** Set stop, cancel injected sleeps, interrupt(), join. */
+    void stop();
+
+    /**
+     * Serve one request; runs on the serving thread. Throwing
+     * TransportError means the channel broke: the replica is put
+     * down and the request resolves WorkerDown. Any other exception
+     * resolves the request Failed with its message.
+     */
+    virtual WorkerResponse call(const WorkerRequest &req) = 0;
+
+    /** Cut an in-flight call() short; kill() and stop() run it from
+     *  any thread. Must be idempotent. */
+    virtual void interrupt() {}
+
+    /** Tick the liveness counter (per processed chunk, from call()). */
+    void beat() { heartbeat_.fetch_add(1, std::memory_order_relaxed); }
+
+  private:
+    struct Pending
+    {
+        WorkerRequest req;
+        std::promise<WorkerResponse> promise;
+    };
+
+    void run();
+    void serve(Pending p);
+    /** Resolve @p p with WorkerDown and release its inbox-depth slot. */
+    void resolveDown(Pending &p);
+    void markDead();
+
+    const std::string name_;
+    const bool has_table_;
+    const bool is_empty_;
+
+    std::atomic<u64> processed_{0};
+    std::atomic<u64> heartbeat_{0};
+    std::atomic<u64> inbox_depth_{0};
+    std::atomic<bool> dead_{false};
+    CancelToken cancel_;
+
+    Mutex mtx_;
+    CondVar cv_;
+    std::deque<Pending> inbox_ EXMA_GUARDED_BY(mtx_);
+    bool stop_ EXMA_GUARDED_BY(mtx_) = false;
+    std::thread thread_;
 };
 
 } // namespace exma

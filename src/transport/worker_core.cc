@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "common/logging.hh"
 
@@ -61,37 +62,47 @@ serveShardRequest(const ShardState &st, const WorkerRequest &req,
 {
     const auto t0 = std::chrono::steady_clock::now();
     WorkerResponse out;
-    out.ids = req.batch.ids();
-
-    if (st.table) {
-        BatchConfig cfg = req.cfg;
-        cfg.threads = 1; // the worker thread IS the execution lane
-        cfg.locate = true;
-        cfg.per_query_stats = false;
-        // Caps are the router's job, applied after the cross-shard
-        // merge; a per-shard cap would keep a shard-dependent subset.
-        cfg.locate_limit = 0;
-        // Chunk-granular liveness: the supervisor reads this to tell
-        // "slow batch" from "hung worker".
-        cfg.progress = progress;
-        BatchResult br = BatchSearcher(*st.table, cfg)
-                             .search(req.batch.storage(),
-                                     req.batch.storageIds());
-        out.hits = std::move(br.positions);
-        out.stats = br.stats;
-    } else {
-        out.hits.resize(req.batch.size());
-        if (st.scan_ref) {
-            for (size_t j = 0; j < req.batch.size(); ++j) {
-                scanQuery(st, req.batch.query(j), out.hits[j]);
-                if (progress)
-                    progress();
+    try {
+        out.ids = req.batch.ids();
+        if (st.table) {
+            BatchConfig cfg = req.cfg;
+            cfg.threads = 1; // the worker thread IS the execution lane
+            cfg.locate = true;
+            cfg.per_query_stats = false;
+            // Caps are the router's job, applied after the cross-shard
+            // merge; a per-shard cap would keep a shard-dependent
+            // subset.
+            cfg.locate_limit = 0;
+            // Chunk-granular liveness: the supervisor reads this to
+            // tell "slow batch" from "hung worker".
+            cfg.progress = progress;
+            BatchResult br = BatchSearcher(*st.table, cfg)
+                                 .search(req.batch.storage(),
+                                         req.batch.storageIds());
+            out.hits = std::move(br.positions);
+            out.stats = br.stats;
+        } else {
+            out.hits.resize(req.batch.size());
+            if (st.scan_ref) {
+                for (size_t j = 0; j < req.batch.size(); ++j) {
+                    scanQuery(st, req.batch.query(j), out.hits[j]);
+                    if (progress)
+                        progress();
+                }
             }
+            // Empty shard: its prefix range has no occurrences, so no
+            // query routed here can match — every response is
+            // hitless.
         }
-        // Empty shard: its prefix range has no occurrences, so no
-        // query routed here can match — every response is hitless.
+    } catch (const std::exception &e) {
+        out = WorkerResponse{};
+        out.status = WorkerStatus::Failed;
+        out.error = e.what();
+        out.ids = req.batch.ids();
+        return out;
     }
 
+    out.canary = responseCanary(out);
     const auto t1 = std::chrono::steady_clock::now();
     out.seconds = std::chrono::duration<double>(t1 - t0).count();
     return out;

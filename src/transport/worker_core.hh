@@ -39,10 +39,12 @@ void validateShardState(const std::string &name, const ShardState &st);
 
 /**
  * Serve @p req against @p st: search (or scan) every query in the
- * batch and return global hit positions index-aligned with the
- * request ids. @p progress ticks per processed chunk — both sides
- * turn it into heartbeats so a supervisor can tell a slow batch from
- * a hung worker. Status is always Ok; callers translate exceptions.
+ * batch and return a response ready to send: global hit positions
+ * index-aligned with the request ids, canary stamped. A compute
+ * exception comes back as a Failed response carrying its message and
+ * the ids. @p progress ticks per processed chunk — both sides turn it
+ * into heartbeats so a supervisor can tell a slow batch from a hung
+ * worker.
  */
 WorkerResponse serveShardRequest(const ShardState &st,
                                  const WorkerRequest &req,

@@ -2,14 +2,18 @@
 // always resolve with typed Responses — WorkerDown on destruction with
 // a non-empty inbox (the std::future_error regression this file
 // pins), Failed with the message when process() throws — plus kill(),
-// inbox-depth accounting, and heartbeat liveness.
+// inbox-depth accounting, heartbeat liveness, and the submit/kill
+// lock protocol under concurrent callers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -139,6 +143,83 @@ TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)
         << "corruption is silent at the transport layer";
     EXPECT_NE(responseCanary(r), r.canary)
         << "recomputing the canary must expose the corruption";
+}
+
+TEST(WorkerRobustness, ConcurrentSubmitAndKillResolveEveryFuture)
+{
+    // Submitters race a kill(): each submit either sees dead_ under
+    // the inbox lock or lands in the inbox before kill() drains it, so
+    // every future resolves — Ok or WorkerDown, never a broken
+    // promise — and the depth and processed counters balance. Each
+    // submitter keeps going after it sees the kill, so the race is
+    // real and the late submissions must be refused.
+    constexpr int kSubmitters = 4;
+    constexpr int kKillAfter = 200;  // total submissions before kill
+    constexpr int kAfterKill = 50;   // per submitter, once kill is seen
+
+    struct Submitted
+    {
+        std::future<WorkerResponse> fut;
+        bool after_kill;
+    };
+
+    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    std::atomic<int> submitted{0};
+    std::atomic<bool> killed{false};
+    std::mutex subs_mtx;
+    std::vector<Submitted> subs;
+
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&] {
+            for (int after = 0; after < kAfterKill;) {
+                const bool after_kill =
+                    killed.load(std::memory_order_acquire);
+                auto fut = worker.submit(requestFor(batch()));
+                submitted.fetch_add(1, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(subs_mtx);
+                subs.push_back({std::move(fut), after_kill});
+                if (after_kill)
+                    ++after;
+            }
+        });
+    }
+    std::thread killer([&] {
+        while (submitted.load(std::memory_order_relaxed) < kKillAfter)
+            std::this_thread::yield();
+        worker.kill();
+        killed.store(true, std::memory_order_release);
+    });
+    for (std::thread &t : submitters)
+        t.join();
+    killer.join();
+
+    // One deadline for the lot: a lost future fails the test once,
+    // instead of blocking forever in get().
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    u64 ok = 0;
+    size_t unresolved = 0;
+    for (Submitted &s : subs) {
+        if (s.fut.wait_until(deadline) != std::future_status::ready) {
+            ++unresolved;
+            continue;
+        }
+        WorkerResponse r;
+        ASSERT_NO_THROW(r = s.fut.get()) << "no std::future_error";
+        if (s.after_kill)
+            EXPECT_EQ(r.status, WorkerStatus::WorkerDown)
+                << "a submission after kill() returned is refused";
+        else
+            EXPECT_TRUE(r.status == WorkerStatus::Ok ||
+                        r.status == WorkerStatus::WorkerDown);
+        if (r.status == WorkerStatus::Ok)
+            ++ok;
+    }
+    ASSERT_EQ(unresolved, 0u) << "futures never resolved";
+    EXPECT_TRUE(worker.isDead());
+    EXPECT_EQ(worker.inboxDepth(), 0u);
+    EXPECT_EQ(worker.processed(), ok);
 }
 
 } // namespace

@@ -174,6 +174,29 @@ TEST(SocketTransport, KillFaultIsARealSignalAndResolvesWorkerDown)
     EXPECT_EQ(sock->inboxDepth(), 0u);
 }
 
+TEST(SocketTransport, KillFailsQueuedAndRefusesNewSubmissions)
+{
+    const ScanFixture fx;
+    const auto queries = fx.queries(); // outlives the borrowed views
+    ScopedFaultInjector scope(std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("delay@s:ms=60000")));
+    auto sock = spawnScanWorker("s", fx);
+    auto in_flight = sock->submit(requestFor(queries));
+    auto queued = sock->submit(requestFor(queries));
+
+    sock->kill();
+    EXPECT_TRUE(sock->isDead());
+    EXPECT_EQ(resolved(in_flight).status, WorkerStatus::WorkerDown)
+        << "kill must cancel the injected sleep";
+    EXPECT_EQ(resolved(queued).status, WorkerStatus::WorkerDown);
+
+    auto refused = sock->submit(requestFor(queries));
+    EXPECT_EQ(resolved(refused).status, WorkerStatus::WorkerDown)
+        << "submitting to a dead transport resolves immediately";
+    EXPECT_EQ(sock->inboxDepth(), 0u);
+    EXPECT_EQ(sock->processed(), 0u);
+}
+
 TEST(SocketTransport, ThrowFaultMatchesTheInProcessContract)
 {
     const ScanFixture fx;

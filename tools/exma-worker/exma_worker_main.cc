@@ -14,9 +14,10 @@
  *
  * Request compute is transport/worker_core.cc — the same code the
  * in-process ShardWorker runs, which is what makes socket serving
- * differentially testable against the inbox path. Compute exceptions
- * become Failed responses; channel breakage ends the process (the
- * router translates the EOF into WorkerDown and respawns).
+ * differentially testable against the inbox path; it answers compute
+ * exceptions as Failed responses itself. Channel breakage ends the
+ * process (the router translates the EOF into WorkerDown and
+ * respawns).
  */
 
 #include <cstdio>
@@ -63,27 +64,15 @@ serveLoop(int fd, const ShardState &st)
         WorkerResponse resp;
         try {
             const WorkerRequest req = decodeRequest(frame.body, fd);
-            try {
-                u64 ticks = 0;
-                resp = serveShardRequest(st, req, [&] {
-                    if (++ticks % 64 == 0)
-                        writeFrame(fd, kFrameHeartbeat,
-                                   frame.header.seq, {});
-                });
-                resp.canary = responseCanary(resp);
-            } catch (const std::exception &e) {
-                // Compute threw: a typed Failed response, exactly as
-                // the in-process worker reports it.
-                resp = WorkerResponse{};
-                resp.status = WorkerStatus::Failed;
-                resp.error = e.what();
-                resp.ids = req.batch.ids();
-            }
+            u64 ticks = 0;
+            resp = serveShardRequest(st, req, [&] {
+                if (++ticks % 64 == 0)
+                    writeFrame(fd, kFrameHeartbeat, frame.header.seq, {});
+            });
         } catch (const TransportError &e) {
             // The frame decoded as no valid request. Answer Failed so
             // the router retries elsewhere; if the channel itself is
             // sick the write below ends the process.
-            resp = WorkerResponse{};
             resp.status = WorkerStatus::Failed;
             resp.error = e.what();
         }

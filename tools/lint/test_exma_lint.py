@@ -165,6 +165,24 @@ exma_add_test(batch/test_unlabelled.cc DEPS exma::batch)
                         "TEST(Router, X) { exma::ShardWorker w(n, t, r, s); }\n")
         self.assertEqual(self.rules("concurrency-label"), [])
 
+    def test_socket_transport_needs_the_label(self):
+        # SocketTransport owns a serving thread just like ShardWorker.
+        self.tree.write("tests/transport/test_sock.cc",
+                        "TEST(Sock, X) { exma::SocketTransport s(n, c, "
+                        "false, false); }\n")
+        self.tree.write("tests/CMakeLists.txt",
+                        "exma_add_test(transport/test_sock.cc "
+                        "DEPS exma::transport)\n")
+        findings = self.rules("concurrency-label")
+        self.assertEqual(len(findings), 1, findings)
+        self.assertIn("SocketTransport", findings[0].message)
+
+        self.tree.write("tests/CMakeLists.txt",
+                        "exma_add_test(transport/test_sock.cc "
+                        "DEPS exma::transport\n"
+                        "    LABELS socket concurrency)\n")
+        self.assertEqual(self.rules("concurrency-label"), [])
+
     def test_registration_of_missing_file_is_flagged(self):
         self.tree.write("tests/CMakeLists.txt",
                         "exma_add_test(common/test_gone.cc DEPS x)\n")
