@@ -243,7 +243,7 @@ BM_TableFilesLoad(benchmark::State &state)
         std::filesystem::file_size(microStem() + kExtSa) +
         std::filesystem::file_size(microStem() + kExtPac));
     for (auto _ : state) {
-        const LoadedExmaTable loaded = loadTableFiles(microStem());
+        const ShardState loaded = loadTableFiles(microStem());
         benchmark::DoNotOptimize(loaded.table->rows());
     }
     state.SetItemsProcessed(state.iterations());

@@ -11,17 +11,22 @@
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
  *                   row bit vector
  *
+ * A shard that is too small for a table saves only stem.exma.pac,
+ * with its text echo as the text it scans; an empty shard saves
+ * nothing. ShardState is the one owned value for all three kinds, and
+ * saveShardFiles / loadShardFiles are its one save/load pair.
+ *
  * Loading mmaps the files read-only and points the restored
  * structures' hot arrays straight into the mappings
- * (common/storage.hh), so the Loaded* wrappers hold the MappedFiles
- * alongside the structures and must stay alive as long as the table
+ * (common/storage.hh), so a loaded ShardState holds the MappedFiles
+ * alongside the table and must stay alive as long as the table
  * serves. Models are restored from their trained weights — nothing is
  * retrained, so a loaded table answers bit-identically to the one
  * that was saved.
  *
  * Whole-index directories (manifest + per-shard files) are one layer
  * up, in persist/index_io.hh — that layer knows about shard plans and
- * routers; this one stops at a single table so the io module stays
+ * routers; this one stops at a single shard so the io module stays
  * below route/shard in the layering DAG (the exma-worker child loads
  * its shard through exactly this seam).
  */
@@ -30,8 +35,10 @@
 #define EXMA_IO_TABLE_IO_HH
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/exma_table.hh"
@@ -39,6 +46,64 @@
 #include "io/mapped_file.hh"
 
 namespace exma {
+
+/**
+ * What one shard serves. The values are the per-shard state words of
+ * a routed manifest, so they are part of the on-disk format.
+ */
+enum class ShardKind : u32
+{
+    Empty = 0, ///< no text: every query answers hitless
+    Scan = 1,  ///< too small for a table: its text is scanned directly
+    Table = 2, ///< a segment-mapped ExmaTable
+};
+
+/** The kind's one spelling (the exma-worker --state argument). */
+const char *shardKindName(ShardKind kind);
+/** Inverse of shardKindName; nullopt for any other name. */
+std::optional<ShardKind> parseShardKind(std::string_view name);
+
+/**
+ * One shard's serving state, owned: the router holds one per shard,
+ * the persisted index saves and loads exactly this, and exma-worker
+ * serves it. Which of table / scan is set decides kind().
+ */
+struct ShardState
+{
+    /** Local-to-global segment map (empty for an empty shard). */
+    std::vector<TextSegment> segments;
+    /** Mappings the table's hot arrays borrow from; declared before
+     *  the table so the table is destroyed first. */
+    std::vector<MappedFile> files;
+    std::unique_ptr<ExmaTable> table;
+    /** The extracted local text of a scan shard. */
+    std::vector<Base> scan;
+
+    ShardKind kind() const
+    {
+        return table ? ShardKind::Table
+               : scan.empty() ? ShardKind::Empty
+                              : ShardKind::Scan;
+    }
+};
+
+/** Asserts @p st is coherent: one of table / scan at most, each
+ *  covering exactly its segment map. @p name labels the failure. */
+void validateShardState(const std::string &name, const ShardState &st);
+
+/**
+ * Write @p st at @p stem: stem.exma.{pac,occ,sa} for a table shard,
+ * stem.exma.pac (segment map + 2-bit text) for a scan shard, nothing
+ * for an empty one.
+ */
+void saveShardFiles(const ShardState &st, const std::string &stem);
+
+/**
+ * Load the @p kind shard saved at @p stem; throws LoadError on any
+ * defect. Every non-empty kind probes the "io.load" fault site once,
+ * at stem.exma.pac.
+ */
+ShardState loadShardFiles(ShardKind kind, const std::string &stem);
 
 /**
  * Write @p table as stem.exma.{pac,occ,sa}. @p local_text is the text
@@ -49,32 +114,10 @@ namespace exma {
 void saveTableFiles(const ExmaTable &table, const std::string &stem,
                     std::span<const Base> local_text = {});
 
-/**
- * Write a table-less scan shard as stem.exma.pac only: its segment map
- * plus the extracted local text the worker scans.
- */
-void saveScanFiles(std::span<const Base> local_text,
-                   const std::vector<TextSegment> &segments,
-                   const std::string &stem);
-
-/** A loaded table plus the mappings its hot arrays are borrowed from. */
-struct LoadedExmaTable
-{
-    /** Declared before the table so the table is destroyed first. */
-    std::vector<MappedFile> files;
-    std::unique_ptr<ExmaTable> table;
-};
-
-/** Load stem.exma.{pac,occ,sa}; throws LoadError on any defect. */
-LoadedExmaTable loadTableFiles(const std::string &stem);
-
-/** Load a scan shard's stem.exma.pac: segment map + unpacked text. */
-struct LoadedScanShard
-{
-    std::vector<TextSegment> segments;
-    std::vector<Base> text;
-};
-LoadedScanShard loadScanFiles(const std::string &stem);
+/** Load stem.exma.{pac,occ,sa} into a table state (segments from the
+ *  .pac, empty for an unsegmented table); throws LoadError on any
+ *  defect. */
+ShardState loadTableFiles(const std::string &stem);
 
 /**
  * Shared plumbing between this layer and persist/index_io.cc — not a

@@ -110,27 +110,6 @@ saveManifest(const std::string &dir, const BlobWriter &w)
     fb.save(dir + "/" + kManifestName);
 }
 
-/** Per-shard worker state bytes in a routed manifest. */
-constexpr u32 kShardEmpty = 0;
-constexpr u32 kShardScan = 1;
-constexpr u32 kShardTable = 2;
-
-/** The per-shard segment maps the building ShardRouter derives. */
-std::vector<std::vector<TextSegment>>
-routerSegments(const ShardPlan &plan)
-{
-    std::vector<std::vector<TextSegment>> segments(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s) {
-        if (plan.kind() == ShardPlanKind::KmerPrefix) {
-            segments[s] = plan.segmentsOf(s);
-        } else {
-            const Shard &sh = plan.shards()[s];
-            segments[s] = {TextSegment{sh.begin, 0, sh.length}};
-        }
-    }
-    return segments;
-}
-
 } // namespace
 
 // --- whole-index directories --------------------------------------------
@@ -157,20 +136,11 @@ saveIndex(const ShardRouter &router, const std::string &dir)
     w.putU64(router.config().min_table_bases);
     putPlan(w, plan);
     w.putU64(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s) {
-        const u32 state = router.shardTable(s) != nullptr ? kShardTable
-                          : !router.shardScanRef(s).empty() ? kShardScan
-                                                            : kShardEmpty;
-        w.putU32(state);
-    }
+    for (size_t s = 0; s < plan.size(); ++s)
+        w.putU32(static_cast<u32>(router.shard(s).kind()));
     saveManifest(dir, w);
-    for (size_t s = 0; s < plan.size(); ++s) {
-        if (router.shardTable(s) != nullptr)
-            saveTableFiles(*router.shardTable(s), shardStem(dir, s));
-        else if (!router.shardScanRef(s).empty())
-            saveScanFiles(router.shardScanRef(s),
-                          router.shardSegments(s), shardStem(dir, s));
-    }
+    for (size_t s = 0; s < plan.size(); ++s)
+        saveShardFiles(router.shard(s), shardStem(dir, s));
 }
 
 LoadedIndex
@@ -202,7 +172,7 @@ loadIndex(const std::string &dir)
     switch (out.kind) {
     case IndexKind::Mono: {
         r.finish();
-        LoadedExmaTable t = loadTableFiles(dir + "/table");
+        ShardState t = loadShardFiles(ShardKind::Table, dir + "/table");
         out.files = std::move(t.files);
         out.table = std::move(t.table);
         break;
@@ -220,9 +190,14 @@ loadIndex(const std::string &dir)
                             std::to_string(n_states) +
                             " shard states for a " +
                             std::to_string(plan.size()) + "-shard plan");
-        std::vector<u32> states(n_states);
-        for (u32 &s : states)
-            s = r.getU32();
+        std::vector<ShardKind> kinds(n_states);
+        for (ShardKind &k : kinds) {
+            const u32 raw = r.getU32();
+            if (raw > static_cast<u32>(ShardKind::Table))
+                throw LoadError(manifest_path + ": unknown shard state " +
+                                std::to_string(raw));
+            k = static_cast<ShardKind>(raw);
+        }
         r.finish();
 
         // The shard files are right here: if this router is flipped
@@ -230,39 +205,17 @@ loadIndex(const std::string &dir)
         // directory instead of re-saving into a temp dir.
         cfg.transport.worker_dir = dir;
 
-        std::vector<std::vector<TextSegment>> segments =
-            routerSegments(plan);
-        std::vector<std::unique_ptr<ExmaTable>> tables(plan.size());
-        std::vector<std::vector<Base>> scan_refs(plan.size());
+        std::vector<ShardState> shards(plan.size());
         for (size_t s = 0; s < plan.size(); ++s) {
-            switch (states[s]) {
-            case kShardEmpty:
-                break;
-            case kShardScan: {
-                LoadedScanShard scan = loadScanFiles(shardStem(dir, s));
-                if (scan.segments != segments[s])
-                    throw LoadError(shardStem(dir, s) + kExtPac +
-                                    ": segment map disagrees with the "
-                                    "manifest's plan");
-                scan_refs[s] = std::move(scan.text);
-                break;
-            }
-            case kShardTable: {
-                LoadedExmaTable t = loadTableFiles(shardStem(dir, s));
-                for (MappedFile &f : t.files)
-                    out.files.push_back(std::move(f));
-                tables[s] = std::move(t.table);
-                break;
-            }
-            default:
-                throw LoadError(manifest_path + ": unknown shard state " +
-                                std::to_string(states[s]));
-            }
+            shards[s] = loadShardFiles(kinds[s], shardStem(dir, s));
+            if (shards[s].segments != plan.segmentsOf(s))
+                throw LoadError(shardStem(dir, s) +
+                                ": segment map disagrees with the "
+                                "manifest's plan");
         }
         const auto t1 = std::chrono::steady_clock::now();
         out.router = std::make_unique<ShardRouter>(
-            std::move(plan), cfg, std::move(segments), std::move(tables),
-            std::move(scan_refs),
+            std::move(plan), cfg, std::move(shards),
             std::chrono::duration<double>(t1 - t0).count());
         break;
     }

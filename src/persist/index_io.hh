@@ -3,19 +3,20 @@
  * Save / load of whole indexes: a directory holding an
  * `index.exma.manifest` (kind, configs, serialized ShardPlan,
  * per-shard state) plus `table.exma.*` for a monolithic index or
- * `shardNNNN.exma.*` per shard for routed ones (scan shards
- * carry only the `.pac`). Single-table companion files are the layer
- * below, io/table_io.hh — this layer adds the manifest and the
- * shard-plan/router wiring, which is why it lives *above* route/shard
- * in the module DAG (src/persist) while the table layer stays below.
+ * `shardNNNN.exma.*` per shard for routed ones. Shard files are
+ * written and read by the io layer's one ShardState save/load pair
+ * (saveShardFiles / loadShardFiles in io/table_io.hh; scan shards
+ * carry only the `.pac`). This layer adds the manifest and the
+ * shard-plan/router wiring, which is why it lives *above*
+ * route/shard in the module DAG (src/persist) while the table layer
+ * stays below.
  *
  * Loading mmaps the files read-only and points the restored
- * structures' hot arrays straight into the mappings, so LoadedIndex
- * holds the MappedFiles alongside the structures and must stay alive
- * as long as the index serves. A routed index loaded from a directory
- * remembers that directory in its RouterConfig, so switching the
- * router to the socket transport serves the *same* files to
- * out-of-process workers with no re-save.
+ * structures' hot arrays straight into the mappings, so a LoadedIndex
+ * must stay alive as long as the index serves. A routed index loaded
+ * from a directory remembers that directory in its RouterConfig, so
+ * switching the router to the socket transport serves the *same*
+ * files to out-of-process workers with no re-save.
  */
 
 #ifndef EXMA_PERSIST_INDEX_IO_HH
@@ -53,8 +54,10 @@ void saveIndex(const ShardRouter &router, const std::string &dir);
 
 /**
  * A loaded index of any kind. Exactly one of table / router is set,
- * matching kind. files backs every borrowed hot array and is
- * declared first so the structures are destroyed before the mappings.
+ * matching kind. files backs the monolithic table's borrowed hot
+ * arrays and is declared first so the table is destroyed before the
+ * mappings; a routed index's mappings live in the router's
+ * ShardStates.
  */
 struct LoadedIndex
 {

@@ -98,11 +98,6 @@ class ReplicaSet
         return respawns_.load(std::memory_order_relaxed);
     }
 
-    /** @{ Shard-state views, uniform across replicas. */
-    bool hasTable() const { return has_table_; }
-    bool isEmpty() const { return is_empty_; }
-    /** @} */
-
     /** Requests served across all replicas, dead incarnations
      *  included (monotonic). */
     u64 processedTotal() const;
@@ -126,9 +121,6 @@ class ReplicaSet
     const std::string shard_name_;
     const TransportFactory factory_;
     const unsigned replica_count_;
-    /** Shard-state flags, captured from the first spawn (uniform). */
-    bool has_table_ = false;
-    bool is_empty_ = false;
 
     /** Per-replica heartbeat watermark for hang detection. */
     struct Health

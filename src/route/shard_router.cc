@@ -107,35 +107,22 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 (unsigned long long)plan_.refLength(), ref.size());
 
     const size_t n_shards = plan_.size();
-    segments_.resize(n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-        if (plan_.kind() == ShardPlanKind::KmerPrefix) {
-            segments_[s] = plan_.segmentsOf(s);
-        } else {
-            const Shard &sh = plan_.shards()[s];
-            exma_assert(sh.end() <= ref.size(),
-                        "shard '%s' [%llu, %llu) runs past the reference",
-                        sh.name.c_str(), (unsigned long long)sh.begin,
-                        (unsigned long long)sh.end());
-            segments_[s] = {TextSegment{sh.begin, 0, sh.length}};
-        }
-    }
-
-    tables_.resize(n_shards);
-    scan_refs_.resize(n_shards);
+    shards_.resize(n_shards);
     const auto t0 = Clock::now();
     parallelFor(
         n_shards, 1,
         [&](u64 begin, u64 end, unsigned) {
             for (u64 s = begin; s < end; ++s) {
-                const u64 local = segmentsLocalLength(segments_[s]);
+                ShardState &st = shards_[s];
+                st.segments = plan_.segmentsOf(s);
+                const u64 local = segmentsLocalLength(st.segments);
                 if (local == 0)
                     continue; // empty prefix range: hitless worker
                 if (local < cfg_.min_table_bases)
-                    scan_refs_[s] = extractSegments(ref, segments_[s]);
+                    st.scan = extractSegments(ref, st.segments);
                 else
-                    tables_[s] = std::make_unique<ExmaTable>(
-                        ref, segments_[s], cfg_.table);
+                    st.table = std::make_unique<ExmaTable>(
+                        ref, st.segments, cfg_.table);
             }
         },
         cfg_.build_threads);
@@ -146,42 +133,16 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
 }
 
 ShardRouter::ShardRouter(ShardPlan plan, RouterConfig cfg,
-                         std::vector<std::vector<TextSegment>> segments,
-                         std::vector<std::unique_ptr<ExmaTable>> tables,
-                         std::vector<std::vector<Base>> scan_refs,
+                         std::vector<ShardState> shards,
                          double load_seconds)
     : plan_(std::move(plan)), cfg_(std::move(cfg)),
-      segments_(std::move(segments)), tables_(std::move(tables)),
-      scan_refs_(std::move(scan_refs)), build_seconds_(load_seconds)
+      shards_(std::move(shards)), build_seconds_(load_seconds)
 {
     installFaultInjectorFromEnvOnce();
-    const size_t n_shards = plan_.size();
-    exma_assert(n_shards > 0, "shard plan holds no shards");
-    exma_assert(segments_.size() == n_shards &&
-                    tables_.size() == n_shards &&
-                    scan_refs_.size() == n_shards,
-                "adopted per-shard arrays disagree with the %zu-shard "
-                "plan",
-                n_shards);
-    for (size_t s = 0; s < n_shards; ++s) {
-        const u64 local = segmentsLocalLength(segments_[s]);
-        if (tables_[s]) {
-            exma_assert(scan_refs_[s].empty(),
-                        "shard %zu adopted both a table and a scan ref",
-                        s);
-            exma_assert(tables_[s]->rows() == local + 1,
-                        "adopted table for shard %zu covers %llu rows, "
-                        "its segment map holds %llu bases",
-                        s, (unsigned long long)tables_[s]->rows(),
-                        (unsigned long long)local);
-        } else {
-            exma_assert(scan_refs_[s].size() == local,
-                        "adopted scan ref for shard %zu holds %zu "
-                        "bases, its segment map %llu",
-                        s, scan_refs_[s].size(),
-                        (unsigned long long)local);
-        }
-    }
+    exma_assert(plan_.size() > 0, "shard plan holds no shards");
+    exma_assert(shards_.size() == plan_.size(),
+                "adopted %zu shard states for a %zu-shard plan",
+                shards_.size(), plan_.size());
     spawnReplicas();
 }
 
@@ -223,13 +184,8 @@ ShardRouter::prepareWorkerFiles()
           std::to_string(dir_seq.fetch_add(1))))
             .string();
     std::filesystem::create_directories(dir);
-    for (size_t s = 0; s < plan_.size(); ++s) {
-        if (tables_[s])
-            saveTableFiles(*tables_[s], io_detail::shardStem(dir, s));
-        else if (!scan_refs_[s].empty())
-            saveScanFiles(scan_refs_[s], segments_[s],
-                          io_detail::shardStem(dir, s));
-    }
+    for (size_t s = 0; s < plan_.size(); ++s)
+        saveShardFiles(shards_[s], io_detail::shardStem(dir, s));
     worker_dir_ = dir;
     temp_dir_ = dir;
 }
@@ -237,33 +193,26 @@ ShardRouter::prepareWorkerFiles()
 TransportFactory
 ShardRouter::shardFactory(size_t s)
 {
-    if (transport_kind_ == TransportKind::InProcess) {
-        const ExmaTable *table = tables_[s].get();
-        const std::vector<Base> *scan =
-            scan_refs_[s].empty() ? nullptr : &scan_refs_[s];
-        const std::vector<TextSegment> *segs = &segments_[s];
-        return [table, scan,
-                segs](const std::string &name) -> std::shared_ptr<Transport> {
-            return std::make_shared<ShardWorker>(name, table, scan, segs);
+    const ShardState &st = shards_[s];
+    if (transport_kind_ == TransportKind::InProcess)
+        return [&st](const std::string &name) -> std::shared_ptr<Transport> {
+            return std::make_shared<ShardWorker>(name, st);
         };
-    }
-    const bool has_table = tables_[s] != nullptr;
-    const bool is_empty = !has_table && scan_refs_[s].empty();
     SocketTransportConfig scfg;
     scfg.binary = worker_binary_;
-    scfg.state = has_table ? "table" : is_empty ? "empty" : "scan";
-    if (!is_empty)
+    scfg.kind = st.kind();
+    if (scfg.kind != ShardKind::Empty)
         scfg.stem = io_detail::shardStem(worker_dir_, s);
-    return [scfg, has_table,
-            is_empty](const std::string &name) -> std::shared_ptr<Transport> {
-        return std::make_shared<SocketTransport>(name, scfg, has_table,
-                                                 is_empty);
+    return [scfg](const std::string &name) -> std::shared_ptr<Transport> {
+        return std::make_shared<SocketTransport>(name, scfg);
     };
 }
 
 void
 ShardRouter::spawnReplicas()
 {
+    for (size_t s = 0; s < plan_.size(); ++s)
+        validateShardState(plan_.shards()[s].name, shards_[s]);
     transport_kind_ = resolveTransportKind(cfg_.transport.kind);
     if (transport_kind_ == TransportKind::Socket)
         prepareWorkerFiles();
@@ -287,8 +236,8 @@ u64
 ShardRouter::totalLocalBases() const
 {
     u64 n = 0;
-    for (const auto &segs : segments_)
-        n += segmentsLocalLength(segs);
+    for (const ShardState &st : shards_)
+        n += segmentsLocalLength(st.segments);
     return n;
 }
 
@@ -296,9 +245,9 @@ u64
 ShardRouter::totalRows() const
 {
     u64 rows = 0;
-    for (const auto &t : tables_)
-        if (t)
-            rows += t->rows();
+    for (const ShardState &st : shards_)
+        if (st.table)
+            rows += st.table->rows();
     return rows;
 }
 

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "fault/failover_stats.hh"
+#include "io/table_io.hh"
 #include "route/replica_set.hh"
 #include "route/worker_supervisor.hh"
 #include "shard/shard_plan.hh"
@@ -202,17 +203,13 @@ class ShardRouter
 
     /**
      * Adopt pre-restored per-shard state (src/persist/index_io.cc)
-     * instead of building: @p segments / @p tables / @p scan_refs are
-     * index-parallel with @p plan's shards (a shard has a table, a
-     * scan ref, or neither — matching what the building constructor
-     * would have produced). Workers are spawned over the adopted
-     * state; @p load_seconds is reported as buildSeconds().
+     * instead of building: @p shards is index-parallel with @p plan's
+     * shards and holds what the building constructor would have
+     * produced. Workers are spawned over the adopted state;
+     * @p load_seconds is reported as buildSeconds().
      */
     ShardRouter(ShardPlan plan, RouterConfig cfg,
-                std::vector<std::vector<TextSegment>> segments,
-                std::vector<std::unique_ptr<ExmaTable>> tables,
-                std::vector<std::vector<Base>> scan_refs,
-                double load_seconds);
+                std::vector<ShardState> shards, double load_seconds);
 
     /** Joins/reaps all replicas, then removes the owned temp shard
      *  directory if socket workers needed one. */
@@ -233,19 +230,13 @@ class ShardRouter
      */
     ReplicaSet &replicaSet(size_t i) const { return *sets_[i]; }
 
-    /** Shard @p i's table, or null for scan/empty shards (serialization). */
-    const ExmaTable *shardTable(size_t i) const { return tables_[i].get(); }
+    /** Shard @p i's serving state (serialization, inspection). */
+    const ShardState &shard(size_t i) const { return shards_[i]; }
 
-    /** Shard @p i's extracted scan text (empty unless a scan shard). */
-    const std::vector<Base> &shardScanRef(size_t i) const
+    /** Shard @p i's table, or null for scan/empty shards. */
+    const ExmaTable *shardTable(size_t i) const
     {
-        return scan_refs_[i];
-    }
-
-    /** Shard @p i's segment map (serialization). */
-    const std::vector<TextSegment> &shardSegments(size_t i) const
-    {
-        return segments_[i];
+        return shards_[i].table.get();
     }
 
     /** Wall-clock seconds the (parallel) shard builds took. */
@@ -288,8 +279,8 @@ class ShardRouter
                              SearchStats *stats = nullptr) const;
 
   private:
-    /** Spawn the replica sets over segments_/tables_/scan_refs_, plus
-     *  the supervisor when configured. */
+    /** Validate every shard, then spawn the replica sets over
+     *  shards_, plus the supervisor when configured. */
     void spawnReplicas();
     /** Factory for shard @p s's replicas under transport_kind_. */
     TransportFactory shardFactory(size_t s);
@@ -299,11 +290,9 @@ class ShardRouter
 
     ShardPlan plan_;
     RouterConfig cfg_;
-    /** Per-shard segment maps (single whole-shard segment for text
-     *  plans), referenced by tables, scan workers and translation. */
-    std::vector<std::vector<TextSegment>> segments_;
-    std::vector<std::unique_ptr<ExmaTable>> tables_;
-    std::vector<std::vector<Base>> scan_refs_;
+    /** One state per plan shard, complete before spawnReplicas and
+     *  never resized after: in-process workers borrow its elements. */
+    std::vector<ShardState> shards_;
     TransportKind transport_kind_ = TransportKind::InProcess;
     /** Directory socket workers load their shard files from. */
     std::string worker_dir_;

@@ -133,9 +133,11 @@ class ShardPlan
                                 int prefix_len = 0);
 
     /**
-     * Reassemble a plan from its serialized members (src/io/
+     * Reassemble a plan from its serialized members (src/persist/
      * index_io.cc) without re-deriving anything from the reference.
      * Validates the cross-member invariants the factories guarantee.
+     * @p segments holds kmerPrefix maps only; a text plan passes none
+     * and derives its one-slice maps from @p shards.
      */
     static ShardPlan restore(std::vector<Shard> shards, ShardPlanKind kind,
                              u64 ref_len, u64 overlap, u64 max_query_len,
@@ -161,7 +163,11 @@ class ShardPlan
         return prefix_ranges_;
     }
 
-    /** Segment map of shard @p i (kmerPrefix plans only). */
+    /**
+     * Segment map of shard @p i: the owned context windows of a
+     * kmerPrefix shard, the one slice {begin, 0, length} of a text
+     * shard.
+     */
     const std::vector<TextSegment> &segmentsOf(size_t i) const
     {
         return segments_[i];
@@ -202,6 +208,9 @@ class ShardPlan
     }
 
   private:
+    /** Text plans: one whole-shard segment per shard. */
+    void deriveTextSegments();
+
     std::vector<Shard> shards_;
     ShardPlanKind kind_ = ShardPlanKind::Text;
     u64 ref_len_ = 0;
@@ -209,7 +218,7 @@ class ShardPlan
     u64 max_query_len_ = kUnboundedQueryLen;
     int prefix_len_ = 0;
     std::vector<PrefixRange> prefix_ranges_;      ///< kmerPrefix only
-    std::vector<std::vector<TextSegment>> segments_; ///< kmerPrefix only
+    std::vector<std::vector<TextSegment>> segments_; ///< one per shard
 };
 
 } // namespace exma

@@ -10,16 +10,15 @@
  * worker lets an in-flight batch finish (injected sleeps are
  * cancelled) and answers it WorkerDown.
  *
- * The shard state it borrows is immutable after construction; the
- * inbox protocol, liveness counters and fault injection live in
- * Transport.
+ * The ShardState it borrows (owned by the router) is immutable and
+ * must outlive the worker; the inbox protocol, liveness counters and
+ * fault injection live in Transport.
  */
 
 #ifndef EXMA_TRANSPORT_SHARD_WORKER_HH
 #define EXMA_TRANSPORT_SHARD_WORKER_HH
 
 #include <string>
-#include <vector>
 
 #include "transport/transport.hh"
 #include "transport/worker_core.hh"
@@ -30,20 +29,13 @@ class ShardWorker final : public Transport
 {
   public:
     /**
-     * @param name      stable worker name; also the fault-injection
-     *                  site ("<shard>/r<i>" in a ReplicaSet).
-     * @param table     the shard's segment-mapped ExmaTable, or null
-     *                  when the shard is too small to index.
-     * @param scan_ref  extracted local reference for table-less shards
-     *                  (served by direct scanning), or null.
-     * @param segments  the shard's segment map; may be empty/null only
-     *                  with both @p table and @p scan_ref null — an
-     *                  empty shard, which answers every query with no
-     *                  hits.
+     * @param name   stable worker name; also the fault-injection site
+     *               ("<shard>/r<i>" in a ReplicaSet).
+     * @param state  the shard served (borrowed); an empty state
+     *               answers every query with no hits.
      */
-    ShardWorker(std::string name, const ExmaTable *table,
-                const std::vector<Base> *scan_ref,
-                const std::vector<TextSegment> *segments);
+    ShardWorker(std::string name, const ShardState &state);
+    ShardWorker(std::string name, ShardState &&state) = delete;
 
     ~ShardWorker() override;
 
@@ -51,7 +43,7 @@ class ShardWorker final : public Transport
     WorkerResponse call(const WorkerRequest &req) override;
 
   private:
-    const ShardState state_;
+    const ShardState &state_;
 };
 
 } // namespace exma

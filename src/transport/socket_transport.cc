@@ -50,9 +50,8 @@ discoverWorkerBinary(const std::string &hint)
 }
 
 SocketTransport::SocketTransport(std::string name,
-                                 SocketTransportConfig cfg, bool has_table,
-                                 bool is_empty)
-    : Transport(std::move(name), has_table, is_empty), cfg_(std::move(cfg))
+                                 SocketTransportConfig cfg)
+    : Transport(std::move(name)), cfg_(std::move(cfg))
 {
     ignoreSigpipe();
     spawnChild();
@@ -82,7 +81,7 @@ SocketTransport::spawnChild()
     const char *argv[] = {
         cfg_.binary.c_str(), "--fd",    fd_arg.c_str(),
         "--name",            name().c_str(),
-        "--state",           cfg_.state.c_str(),
+        "--state",           shardKindName(cfg_.kind),
         "--stem",            cfg_.stem.c_str(),
         nullptr,
     };

@@ -33,6 +33,7 @@
 
 #include <string>
 
+#include "io/table_io.hh"
 #include "transport/transport.hh"
 
 namespace exma {
@@ -42,7 +43,7 @@ struct SocketTransportConfig
 {
     std::string binary; ///< resolved exma-worker executable path
     std::string stem;   ///< shard file stem ("" for an empty shard)
-    std::string state;  ///< "table" | "scan" | "empty"
+    ShardKind kind = ShardKind::Empty; ///< what the child loads at stem
 };
 
 /**
@@ -62,15 +63,10 @@ class SocketTransport final : public Transport
      * and resolves WorkerDown, which is exactly what the failover
      * tier expects from a replica that cannot come up.
      *
-     * @param name       stable replica name (fault-injection site).
-     * @param cfg        child binary + shard files to serve.
-     * @param has_table  what hasTable() reports (the shard files are
-     *                   in the child; the parent only knows the
-     *                   shape).
-     * @param is_empty   what isEmpty() reports.
+     * @param name  stable replica name (fault-injection site).
+     * @param cfg   child binary + shard files to serve.
      */
-    SocketTransport(std::string name, SocketTransportConfig cfg,
-                    bool has_table, bool is_empty);
+    SocketTransport(std::string name, SocketTransportConfig cfg);
 
     /**
      * Stops the serving thread (SIGKILLing the child and shutting the

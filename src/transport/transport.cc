@@ -27,10 +27,7 @@ responseCanary(const WorkerResponse &r)
     return h;
 }
 
-Transport::Transport(std::string name, bool has_table, bool is_empty)
-    : name_(std::move(name)), has_table_(has_table), is_empty_(is_empty)
-{
-}
+Transport::Transport(std::string name) : name_(std::move(name)) {}
 
 Transport::~Transport()
 {

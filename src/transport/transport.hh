@@ -149,11 +149,8 @@ class Transport
     /** Stable replica name; also the fault-injection site. */
     const std::string &name() const { return name_; }
 
-    bool hasTable() const { return has_table_; }
-    bool isEmpty() const { return is_empty_; }
-
   protected:
-    Transport(std::string name, bool has_table, bool is_empty);
+    explicit Transport(std::string name);
 
     /**
      * Lifetime rule: the serving thread calls the virtual call() and
@@ -196,8 +193,6 @@ class Transport
     void markDead();
 
     const std::string name_;
-    const bool has_table_;
-    const bool is_empty_;
 
     std::atomic<u64> processed_{0};
     std::atomic<u64> heartbeat_{0};

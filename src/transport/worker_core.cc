@@ -4,8 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#include "common/logging.hh"
-
 namespace exma {
 namespace {
 
@@ -17,10 +15,10 @@ scanQuery(const ShardState &st, const std::vector<Base> &query,
     // directly. A match must fit inside one segment, which the
     // per-segment search range enforces by construction; segments
     // ascend in both coordinate spaces, so hits come out sorted.
-    for (const TextSegment &seg : *st.segments) {
+    for (const TextSegment &seg : st.segments) {
         if (seg.length < query.size())
             continue;
-        const auto begin = st.scan_ref->begin() +
+        const auto begin = st.scan.begin() +
                            static_cast<std::ptrdiff_t>(seg.local_begin);
         const auto end = begin + static_cast<std::ptrdiff_t>(seg.length);
         for (auto it = std::search(begin, end, query.begin(), query.end());
@@ -31,30 +29,6 @@ scanQuery(const ShardState &st, const std::vector<Base> &query,
 }
 
 } // namespace
-
-void
-validateShardState(const std::string &name, const ShardState &st)
-{
-    exma_assert(!(st.table && st.scan_ref),
-                "worker '%s' got both a table and a scan reference",
-                name.c_str());
-    if (st.table)
-        exma_assert(st.table->segmented(),
-                    "worker '%s' needs a segment-mapped table to "
-                    "translate hits into global coordinates",
-                    name.c_str());
-    if (st.scan_ref) {
-        exma_assert(st.segments && !st.segments->empty(),
-                    "worker '%s' scans but has no segment map",
-                    name.c_str());
-        exma_assert(st.scan_ref->size() ==
-                        segmentsLocalLength(*st.segments),
-                    "worker '%s': scan reference holds %zu bases but "
-                    "the segment map covers %llu",
-                    name.c_str(), st.scan_ref->size(),
-                    (unsigned long long)segmentsLocalLength(*st.segments));
-    }
-}
 
 WorkerResponse
 serveShardRequest(const ShardState &st, const WorkerRequest &req,
@@ -83,7 +57,7 @@ serveShardRequest(const ShardState &st, const WorkerRequest &req,
             out.stats = br.stats;
         } else {
             out.hits.resize(req.batch.size());
-            if (st.scan_ref) {
+            if (st.kind() == ShardKind::Scan) {
                 for (size_t j = 0; j < req.batch.size(); ++j) {
                     scanQuery(st, req.batch.query(j), out.hits[j]);
                     if (progress)

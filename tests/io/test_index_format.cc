@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "fault/fault_injector.hh"
 #include "genome/reference.hh"
 #include "io/format.hh"
 #include "persist/index_io.hh"
@@ -289,7 +290,7 @@ TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
     const ExmaTable built(testRef(), cfgFor(GetParam()));
     const std::string stem = tempDir("table_rt") + "/table";
     saveTableFiles(built, stem, testRef());
-    const LoadedExmaTable loaded = loadTableFiles(stem);
+    const ShardState loaded = loadTableFiles(stem);
     expectIdenticalSearch(built, *loaded.table);
     // The hot arrays must be borrowed from the mappings, not copied.
     EXPECT_TRUE(pointsIntoMapping(
@@ -433,6 +434,37 @@ TEST(IndexRoundTripTest, RoutedWithScanShards)
     const auto queries = refQueries(20, 32);
     EXPECT_EQ(built.search(queries).hits,
               loaded.router->search(queries).hits);
+}
+
+TEST(IndexRoundTripTest, ScanShardLoadHonoursTheLoadFaultSite)
+{
+    // A routed index of scan shards only. Probe 1 is the manifest,
+    // probe 2 the first shard's .pac: scan shards must honour the
+    // "io.load" fault site like table shards do.
+    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 3, 48);
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    cfg.min_table_bases = ~u64{0};
+    const ShardRouter built(testRef(), plan, cfg);
+    size_t first = 0;
+    while (built.shard(first).kind() == ShardKind::Empty)
+        ++first;
+    ASSERT_EQ(built.shard(first).kind(), ShardKind::Scan);
+    const std::string dir = tempDir("idx_scan_fault");
+    saveIndex(built, dir);
+
+    ScopedFaultInjector scope(std::make_shared<FaultInjector>(
+        FaultInjector::parseSpec("throw@io.load:nth=2")));
+    const std::string pac = io_detail::shardStem(dir, first) + kExtPac;
+    try {
+        loadIndex(dir);
+        ADD_FAILURE() << "injected scan-shard load fault did not throw";
+    } catch (const LoadError &e) {
+        EXPECT_NE(std::string(e.what()).find(pac), std::string::npos)
+            << "LoadError must name " << pac << ": " << e.what();
+    }
+    // The rule fired once: the next load succeeds.
+    EXPECT_NE(loadIndex(dir).router, nullptr);
 }
 
 TEST(IndexRoundTripTest, RetiredAndUnknownKindsFailClosed)

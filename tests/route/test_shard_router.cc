@@ -189,7 +189,7 @@ TEST(ShardRouter, EmptyPrefixRangesServeHitless)
 
     size_t empty_workers = 0;
     for (size_t s = 0; s < router.shardCount(); ++s)
-        empty_workers += router.replicaSet(s).isEmpty();
+        empty_workers += router.shard(s).kind() == ShardKind::Empty;
     EXPECT_GE(empty_workers, 2u);
 
     const std::vector<std::vector<Base>> qs = {
@@ -257,8 +257,7 @@ TEST(ShardRouter, TinyShardsFallBackToScanWorkers)
 
     size_t scan_workers = 0;
     for (size_t s = 0; s < router.shardCount(); ++s)
-        scan_workers += !router.replicaSet(s).hasTable() &&
-                        !router.replicaSet(s).isEmpty();
+        scan_workers += router.shard(s).kind() == ShardKind::Scan;
     EXPECT_GT(scan_workers, 0u)
         << "fixture no longer produces sub-threshold shards";
 

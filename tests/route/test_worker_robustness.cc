@@ -22,6 +22,9 @@
 namespace exma {
 namespace {
 
+/** An empty shard: every request is served hitless. */
+const ShardState kEmptyShard{};
+
 const std::vector<std::vector<Base>> &
 batch()
 {
@@ -62,7 +65,7 @@ TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)
         FaultInjector::parseSpec("delay@w:ms=60000")));
     std::vector<std::future<WorkerResponse>> futs;
     {
-        ShardWorker worker("w", nullptr, nullptr, nullptr);
+        ShardWorker worker("w", kEmptyShard);
         for (int i = 0; i < 3; ++i)
             futs.push_back(worker.submit(requestFor(batch())));
         // Destructor runs with one request mid-sleep and two queued.
@@ -80,7 +83,7 @@ TEST(WorkerRobustness, ProcessThrowSurfacesAsFailedWithMessage)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("throw@w:nth=1")));
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", kEmptyShard);
 
     auto failing = worker.submit(requestFor(batch()));
     const WorkerResponse failed = resolved(failing);
@@ -102,7 +105,7 @@ TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@w:ms=60000")));
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", kEmptyShard);
     auto in_flight = worker.submit(requestFor(batch()));
     auto queued = worker.submit(requestFor(batch()));
 
@@ -121,7 +124,7 @@ TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 
 TEST(WorkerRobustness, ServedRequestsAdvanceHeartbeatAndDrainDepth)
 {
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", kEmptyShard);
     EXPECT_EQ(worker.heartbeat(), 0u);
     auto fut = worker.submit(requestFor(batch()));
     const WorkerResponse r = resolved(fut);
@@ -136,7 +139,7 @@ TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("corrupt@w:nth=1")));
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", kEmptyShard);
     auto fut = worker.submit(requestFor(batch()));
     const WorkerResponse r = resolved(fut);
     EXPECT_EQ(r.status, WorkerStatus::Ok)
@@ -163,7 +166,7 @@ TEST(WorkerRobustness, ConcurrentSubmitAndKillResolveEveryFuture)
         bool after_kill;
     };
 
-    ShardWorker worker("w", nullptr, nullptr, nullptr);
+    ShardWorker worker("w", kEmptyShard);
     std::atomic<int> submitted{0};
     std::atomic<bool> killed{false};
     std::mutex subs_mtx;

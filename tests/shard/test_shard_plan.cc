@@ -168,6 +168,32 @@ TEST(ShardPlan, PerRecordFoldsLoneLeadingTinyRecordForward)
     EXPECT_EQ(plan.shards()[0], (Shard{"scaf+chr1", 0, 4096}));
 }
 
+TEST(ShardPlan, TextPlansMapEachShardToOneSlice)
+{
+    // Text plans serve each shard as one whole-shard segment; the map
+    // must exist on a fresh plan and on a restored one (restore
+    // derives it; the serialized form carries none).
+    const std::vector<RecordSpan> spans = {
+        {"chr1", 0, 4000}, {"chr2", 4000, 2500}, {"chr3", 6500, 1000}};
+    for (const ShardPlan &built : {ShardPlan::fixedWidth(10000, 4, 101),
+                                   ShardPlan::perRecord(spans)}) {
+        const ShardPlan restored = ShardPlan::restore(
+            built.shards(), built.kind(), built.refLength(),
+            built.overlap(), built.maxQueryLen(), built.prefixLen(),
+            built.prefixRanges(), {});
+        for (const ShardPlan *plan : {&built, &restored}) {
+            ASSERT_EQ(plan->size(), built.size());
+            for (size_t s = 0; s < plan->size(); ++s) {
+                const Shard &sh = plan->shards()[s];
+                ASSERT_EQ(plan->segmentsOf(s).size(), 1u) << sh.name;
+                EXPECT_EQ(plan->segmentsOf(s)[0],
+                          (TextSegment{sh.begin, 0, sh.length}))
+                    << sh.name;
+            }
+        }
+    }
+}
+
 TEST(ShardPlan, KmerPrefixRangesPartitionCodeSpace)
 {
     const auto ref = randomRef(2000, 11);

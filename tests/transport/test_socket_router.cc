@@ -143,9 +143,8 @@ TEST(SocketRouter, ScanAndEmptyShardsServeOverTheWire)
 
     size_t scan_workers = 0, empty_workers = 0;
     for (size_t s = 0; s < router.shardCount(); ++s) {
-        scan_workers += !router.replicaSet(s).hasTable() &&
-                        !router.replicaSet(s).isEmpty();
-        empty_workers += router.replicaSet(s).isEmpty();
+        scan_workers += router.shard(s).kind() == ShardKind::Scan;
+        empty_workers += router.shard(s).kind() == ShardKind::Empty;
     }
     EXPECT_GT(scan_workers, 0u)
         << "fixture no longer produces sub-threshold shards";

@@ -29,21 +29,20 @@ namespace fs = std::filesystem;
 /** A persisted scan shard (text + segment map) in an owned temp dir. */
 struct ScanFixture
 {
-    std::vector<Base> text;
-    std::vector<TextSegment> segments;
+    ShardState state;
     fs::path dir;
     std::string stem;
 
     ScanFixture()
     {
         u64 seed = 7;
-        text.resize(512);
-        for (auto &b : text) {
+        state.scan.resize(512);
+        for (auto &b : state.scan) {
             seed = seed * 6364136223846793005ULL +
                    1442695040888963407ULL;
             b = static_cast<Base>(seed >> 62);
         }
-        segments = {{100, 0, 300}, {500, 300, 212}};
+        state.segments = {{100, 0, 300}, {500, 300, 212}};
 
         static int instance = 0;
         dir = fs::temp_directory_path() /
@@ -51,7 +50,7 @@ struct ScanFixture
                std::to_string(instance++));
         fs::create_directories(dir);
         stem = (dir / "shard0000").string();
-        saveScanFiles(text, segments, stem);
+        saveShardFiles(state, stem);
     }
 
     ~ScanFixture()
@@ -64,8 +63,9 @@ struct ScanFixture
     std::vector<std::vector<Base>> queries() const
     {
         std::vector<std::vector<Base>> qs;
-        qs.emplace_back(text.begin() + 10, text.begin() + 18);
-        qs.emplace_back(text.begin() + 300, text.begin() + 309);
+        qs.emplace_back(state.scan.begin() + 10, state.scan.begin() + 18);
+        qs.emplace_back(state.scan.begin() + 300,
+                        state.scan.begin() + 309);
         // 16 of the same base in a row is absent from LCG output at
         // this length with this seed; even if it were not, both
         // transports scan the same text, so the differential holds.
@@ -100,8 +100,8 @@ spawnScanWorker(const std::string &name, const ScanFixture &fx)
     SocketTransportConfig cfg;
     cfg.binary = discoverWorkerBinary("");
     cfg.stem = fx.stem;
-    cfg.state = "scan";
-    return std::make_shared<SocketTransport>(name, cfg, false, false);
+    cfg.kind = ShardKind::Scan;
+    return std::make_shared<SocketTransport>(name, cfg);
 }
 
 TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
@@ -109,7 +109,7 @@ TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
     const ScanFixture fx;
     const auto queries = fx.queries();
 
-    ShardWorker oracle("oracle", nullptr, &fx.text, &fx.segments);
+    ShardWorker oracle("oracle", fx.state);
     auto oracle_fut = oracle.submit(requestFor(queries));
     const WorkerResponse expect = resolved(oracle_fut);
     ASSERT_EQ(expect.status, WorkerStatus::Ok);
@@ -138,10 +138,8 @@ TEST(SocketTransport, EmptyShardServesHitlessRows)
 
     SocketTransportConfig cfg;
     cfg.binary = discoverWorkerBinary("");
-    cfg.state = "empty"; // no stem: nothing to load
-    SocketTransport sock("e", cfg, false, true);
-    EXPECT_TRUE(sock.isEmpty());
-    EXPECT_FALSE(sock.hasTable());
+    cfg.kind = ShardKind::Empty; // no stem: nothing to load
+    SocketTransport sock("e", cfg);
 
     auto fut = sock.submit(requestFor(queries));
     const WorkerResponse r = resolved(fut);
@@ -247,8 +245,8 @@ TEST(SocketTransport, MissingBinaryResolvesWorkerDownGracefully)
     SocketTransportConfig cfg;
     cfg.binary = "/nonexistent/exma-worker";
     cfg.stem = fx.stem;
-    cfg.state = "scan";
-    SocketTransport sock("b", cfg, false, false);
+    cfg.kind = ShardKind::Scan;
+    SocketTransport sock("b", cfg);
 
     // A replica that cannot come up is the same signal as one that
     // crashed at startup: WorkerDown, absorbed by the failover tier.

@@ -12,8 +12,10 @@
  *   exma-worker --fd 3 --name <shard>/r<i> --state table|scan|empty
  *               [--stem <dir>/shardNNNN]
  *
- * Request compute is transport/worker_core.cc — the same code the
- * in-process ShardWorker runs, which is what makes socket serving
+ * The shard is loaded by loadShardFiles (io/table_io.hh), the same
+ * ShardState load a persisted routed index uses. Request compute is
+ * transport/worker_core.cc — the same code the in-process ShardWorker
+ * runs, which is what makes socket serving
  * differentially testable against the inbox path; it answers compute
  * exceptions as Failed responses itself. Channel breakage ends the
  * process (the router translates the EOF into WorkerDown and
@@ -24,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "io/table_io.hh"
@@ -89,7 +92,7 @@ main(int argc, char **argv)
 {
     int fd = 3;
     std::string name = "exma-worker";
-    std::string state;
+    std::optional<ShardKind> kind;
     std::string stem;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -100,33 +103,21 @@ main(int argc, char **argv)
         else if (arg == "--name")
             name = argv[++i];
         else if (arg == "--state")
-            state = argv[++i];
+            kind = parseShardKind(argv[++i]);
         else if (arg == "--stem")
             stem = argv[++i];
         else
             return usage(argv[0]);
     }
-    if (state != "table" && state != "scan" && state != "empty")
-        return usage(argv[0]);
-    if (state != "empty" && stem.empty())
+    if (!kind || (*kind != ShardKind::Empty && stem.empty()))
         return usage(argv[0]);
 
     ignoreSigpipe();
 
     try {
-        // Keep the loaded state alive for the whole serving loop; the
-        // table's hot arrays live inside the mmaps.
-        LoadedExmaTable table;
-        LoadedScanShard scan;
-        ShardState st;
-        if (state == "table") {
-            table = loadTableFiles(stem);
-            st.table = table.table.get();
-        } else if (state == "scan") {
-            scan = loadScanFiles(stem);
-            st.scan_ref = &scan.text;
-            st.segments = &scan.segments;
-        }
+        // Alive for the whole serving loop: the table's hot arrays
+        // live inside its mmaps.
+        const ShardState st = loadShardFiles(*kind, stem);
         validateShardState(name, st);
         return serveLoop(fd, st);
     } catch (const TransportError &e) {
