@@ -262,9 +262,9 @@ main(int argc, char **argv)
         const double bcast = broadcast_mbases.count(n_shards)
                                  ? broadcast_mbases[n_shards]
                                  : 0.0;
-        // Replication factor: prefix shards store their owned
-        // positions' context windows, which overlap across shards.
-        const double repl = static_cast<double>(router.totalLocalBases()) /
+        // Stored copies of the reference: prefix shards share one
+        // monolith, so this stays 1 at every shard count.
+        const double repl = static_cast<double>(router.storedBases()) /
                             static_cast<double>(ds.ref.size());
         bench::note("mbases_per_s_routed" + std::to_string(n_shards),
                     mbases);
@@ -288,12 +288,13 @@ main(int argc, char **argv)
         }
     }
     bench::printTable(rt, "routed sweep");
-    std::cout << "\n(All " << n_queries << " queries are >= the routing "
-              << "prefix, so each runs on exactly one shard worker; "
-                 "`repl` is total per-shard searchable bases over the "
-                 "reference length — the price of term-partitioned "
-                 "placement. Broadcast numbers repeat the shard sweep "
-                 "above for side-by-side reading.)\n";
+    std::cout << "\n(Each of the " << n_queries << " queries runs on "
+              << "exactly one shard worker, the owner of its prefix. "
+                 "Every shard serves the same monolithic table, so "
+                 "`repl` — stored bases over the reference length — "
+                 "is 1: routing decides which worker answers, not what "
+                 "text it holds. Broadcast numbers repeat the shard "
+                 "sweep above for side-by-side reading.)\n";
 
     // ------------------------------------------------------------------
     // Multi-process sweep: the same routed plans, but every shard is a

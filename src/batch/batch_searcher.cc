@@ -69,18 +69,9 @@ BatchSearcher::run(const std::vector<std::vector<Base>> &queries,
             if (cfg_.locate) {
                 const std::span<std::vector<u64>> pos(
                     out.positions.data() + begin, m);
-                if (table_.segmented()) {
-                    // Global coordinates, junction artifacts dropped
-                    // before the cap is applied.
-                    std::vector<u64> lens(m);
-                    for (u64 j = 0; j < m; ++j)
-                        lens[j] = qs[j]->size();
-                    table_.locateAllGlobal(ivs, lens, locate_limit, pos);
-                } else {
-                    table_.fmIndex().locate(ivs, locate_limit, pos);
-                    for (std::vector<u64> &p : pos)
-                        std::sort(p.begin(), p.end());
-                }
+                table_.fmIndex().locate(ivs, locate_limit, pos);
+                for (std::vector<u64> &p : pos)
+                    std::sort(p.begin(), p.end());
             }
             if (cfg_.progress)
                 cfg_.progress();

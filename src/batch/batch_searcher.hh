@@ -50,11 +50,8 @@ struct BatchConfig
      * Also resolve each query's interval to text positions
      * (BatchResult::positions, sorted ascending). This is what sharded
      * serving needs: row intervals of different shard tables are not
-     * comparable, text positions are. Segment-mapped tables
-     * (ExmaTable::segmented()) locate through locateAllGlobal, so the
-     * reported positions are global coordinates with junction
-     * artifacts already dropped. Every row of every interval in a
-     * chunk (see grain) goes through one batched locate walker.
+     * comparable, text positions are. Every row of every interval in
+     * a chunk (see grain) goes through one batched locate walker.
      */
     bool locate = false;
     /**

@@ -15,17 +15,7 @@ ExmaTable::ExmaTable(const std::vector<Base> &ref, const Config &cfg)
     build(ref);
 }
 
-ExmaTable::ExmaTable(const std::vector<Base> &ref,
-                     std::vector<TextSegment> segments, const Config &cfg)
-    : cfg_(cfg), segments_(std::move(segments))
-{
-    validateSegments(segments_, ref.size());
-    const std::vector<Base> local = extractSegments(ref, segments_);
-    build(local);
-}
-
-ExmaTable::ExmaTable(Parts parts)
-    : cfg_(parts.cfg), segments_(std::move(parts.segments))
+ExmaTable::ExmaTable(Parts parts) : cfg_(parts.cfg)
 {
     fm_ = std::make_unique<FmIndex>(std::move(parts.fm));
     occ_ = std::make_unique<KmerOccTable>(std::move(parts.occ));
@@ -68,42 +58,16 @@ ExmaTable::build(const std::vector<Base> &ref)
 }
 
 std::vector<u64>
-ExmaTable::locateAllGlobal(const Interval &iv, u64 query_len,
+ExmaTable::locateAllGlobal(const Interval &iv, u64 /*query_len*/,
                            u64 limit) const
 {
-    std::vector<u64> out;
-    locateAllGlobal({&iv, 1}, {&query_len, 1}, limit, {&out, 1});
-    return out;
-}
-
-void
-ExmaTable::locateAllGlobal(std::span<const Interval> ivs,
-                           std::span<const u64> query_lens, u64 limit,
-                           std::span<std::vector<u64>> out) const
-{
-    exma_assert(query_lens.size() == ivs.size(),
-                "batched locate: %zu query lengths for %zu intervals",
-                query_lens.size(), ivs.size());
-    // Locate everything first: in a segment-mapped table the junction
-    // filter decides which occurrences are real, so an early cap would
-    // let artifacts crowd genuine positions out of the budget.
-    fm_->locate(ivs, ~u64{0}, out);
-    for (size_t j = 0; j < out.size(); ++j) {
-        std::vector<u64> &pos = out[j];
-        if (!segments_.empty()) {
-            size_t kept = 0;
-            for (size_t r = 0; r < pos.size(); ++r) {
-                u64 global = 0;
-                if (translateLocalMatch(segments_, pos[r], query_lens[j],
-                                        &global))
-                    pos[kept++] = global;
-            }
-            pos.resize(kept);
-        }
-        std::sort(pos.begin(), pos.end());
-        if (pos.size() > limit)
-            pos.resize(limit);
-    }
+    // Every occurrence is located before the cap: rows are in suffix
+    // order, and the cap keeps the lowest text positions.
+    std::vector<u64> pos = fm_->locateAll(iv);
+    std::sort(pos.begin(), pos.end());
+    if (pos.size() > limit)
+        pos.resize(limit);
+    return pos;
 }
 
 IndexLookup

@@ -19,7 +19,6 @@
 
 #include "common/dna.hh"
 #include "common/search_stats.hh"
-#include "core/text_segments.hh"
 #include "fmindex/fm_index.hh"
 #include "fmindex/kmer_occ.hh"
 #include "learned/mtl_index.hh"
@@ -51,19 +50,6 @@ class ExmaTable
     ExmaTable(const std::vector<Base> &ref, const Config &cfg);
 
     /**
-     * Prefix-range / segment-mapped build: construct the table over the
-     * concatenation of @p segments' global slices of @p ref (see
-     * core/text_segments.hh). Search intervals are local to that
-     * concatenation; locateAllGlobal() translates located matches back
-     * to global coordinates and drops junction artifacts. This is how
-     * a k-mer-prefix shard — a scattered set of owned positions plus
-     * their query-length context windows — gets an ExmaTable of its
-     * own.
-     */
-    ExmaTable(const std::vector<Base> &ref,
-              std::vector<TextSegment> segments, const Config &cfg);
-
-    /**
      * Serialized parts of a whole table (src/io/index_io.cc): the
      * structural parts plus exactly one learned-index part matching
      * cfg.mode (none for Exact). Restoring trains nothing and copies
@@ -72,7 +58,6 @@ class ExmaTable
     struct Parts
     {
         Config cfg;
-        std::vector<TextSegment> segments;
         FmIndex::Restored fm;
         KmerOccTable::Restored occ;
         std::optional<MtlIndex::Restored> mtl;
@@ -137,8 +122,7 @@ class ExmaTable
 
     /**
      * Text positions of up to @p limit occurrences in a search
-     * interval (via the FM-Index SA samples), in row order. Sharded
-     * serving translates these into global reference coordinates.
+     * interval (via the FM-Index SA samples), in row order.
      */
     std::vector<u64>
     locateAll(const Interval &iv, u64 limit = ~u64{0}) const
@@ -146,33 +130,16 @@ class ExmaTable
         return fm_->locateAll(iv, limit);
     }
 
-    /** Whether this table was built over a segment map. */
-    bool segmented() const { return !segments_.empty(); }
-
-    /** The segment map (empty for contiguous builds). */
-    const std::vector<TextSegment> &segments() const { return segments_; }
-
     /**
-     * Global text positions of a search interval's occurrences, sorted
-     * ascending. For a contiguous build this is locateAll + sort; for
-     * a segment-mapped build every occurrence is located, translated
-     * through the segment map, and junction artifacts (matches
-     * spanning the concatenation seam between two segments, which need
-     * @p query_len to detect) are dropped. @p limit then keeps the
-     * lowest @p limit positions — applied after the junction filter,
-     * so artifacts never consume the caller's budget.
+     * Text positions of a search interval's occurrences, sorted
+     * ascending; @p limit keeps the lowest @p limit of them. A table
+     * built over a reference slice reports slice-local positions (the
+     * router adds the slice's offset when it merges). The query length
+     * is accepted for callers that pass it and does not affect the
+     * result.
      */
     std::vector<u64> locateAllGlobal(const Interval &iv, u64 query_len,
                                      u64 limit = ~u64{0}) const;
-
-    /**
-     * Batched locateAllGlobal: out[j] becomes
-     * locateAllGlobal(ivs[j], query_lens[j], limit). The rows of every
-     * interval go through one batched FmIndex::locate.
-     */
-    void locateAllGlobal(std::span<const Interval> ivs,
-                         std::span<const u64> query_lens, u64 limit,
-                         std::span<std::vector<u64>> out) const;
 
     /**
      * One recorded k-step iteration of a search, for the trace-driven
@@ -222,7 +189,6 @@ class ExmaTable
     void build(const std::vector<Base> &ref);
 
     Config cfg_;
-    std::vector<TextSegment> segments_; ///< empty for contiguous builds
     std::unique_ptr<FmIndex> fm_;
     std::unique_ptr<KmerOccTable> occ_;
     std::unique_ptr<MtlIndex> mtl_;

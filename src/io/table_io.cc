@@ -1,7 +1,6 @@
 #include "io/table_io.hh"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "common/logging.hh"
@@ -124,8 +123,6 @@ static_assert(sizeof(u32) == 4);
 static_assert(std::is_trivially_copyable_v<u32>);
 static_assert(sizeof(u64) == 8);
 static_assert(std::is_trivially_copyable_v<u64>);
-static_assert(sizeof(TextSegment) == 24);
-static_assert(std::is_trivially_copyable_v<TextSegment>);
 static_assert(sizeof(PackedRank::Block) == 32);
 static_assert(std::is_trivially_copyable_v<PackedRank::Block>);
 static_assert(sizeof(ClampedLeaf) == 32);
@@ -133,9 +130,8 @@ static_assert(std::is_trivially_copyable_v<ClampedLeaf>);
 
 // Section tags. Per-file namespaces; a tag's meaning never changes
 // within a format version.
-constexpr u32 kPacMeta = 1;     ///< config echo + text geometry blob
-constexpr u32 kPacSegments = 2; ///< TextSegment[]
-constexpr u32 kPacText = 3;     ///< 2-bit packed local text, u64[]
+constexpr u32 kPacMeta = 1; ///< config echo + text geometry blob
+constexpr u32 kPacText = 2; ///< 2-bit packed text, u64[]
 
 constexpr u32 kOccMeta = 1;      ///< k/rows/sentinels blob
 constexpr u32 kOccBases = 2;     ///< base pointers, u32[4^k + 1]
@@ -338,95 +334,28 @@ packText(std::span<const Base> text)
     return words;
 }
 
-std::vector<Base>
-unpackText(std::span<const u64> words, u64 n, const std::string &what)
-{
-    if (words.size() != (n + 31) / 32)
-        throw LoadError(what + ": packed text holds " +
-                        std::to_string(words.size()) + " words for " +
-                        std::to_string(n) + " bases");
-    std::vector<Base> text(n);
-    for (u64 i = 0; i < n; ++i)
-        text[i] = static_cast<Base>((words[i >> 5] >> ((i & 31) * 2)) & 3);
-    return text;
-}
-
-// --- scan shards ---------------------------------------------------------
-
-/** A scan shard is stem.exma.pac only: its segment map plus the
- *  extracted local text it scans. */
-void
-saveScanFiles(std::span<const Base> local_text,
-              const std::vector<TextSegment> &segments,
-              const std::string &stem)
-{
-    exma_assert(local_text.size() == segmentsLocalLength(segments),
-                "scan text holds %zu bases, its segment map %llu",
-                local_text.size(),
-                (unsigned long long)segmentsLocalLength(segments));
-    FileBuilder fb(kMagicPac);
-    BlobWriter w;
-    io_detail::putTableConfig(w, ExmaTable::Config{}); // no table here
-    w.putU64(local_text.size());
-    w.putU32(1);
-    writeBlob(fb, kPacMeta, w);
-    fb.writeArray<TextSegment>(kPacSegments, segments);
-    const std::vector<u64> words = packText(local_text);
-    fb.writeArray<u64>(kPacText, words);
-    fb.save(stem + kExtPac);
-}
-
-ShardState
-loadScanFiles(const std::string &stem)
-{
-    const MappedFile file(stem + kExtPac);
-    const FileView pac(file, kMagicPac);
-    const std::vector<u8> blob = pac.readBlob(kPacMeta);
-    BlobReader r(blob, stem + kExtPac);
-    io_detail::getTableConfig(r); // config echo, unused for scan shards
-    const u64 local_len = r.getU64();
-    const u32 has_text = r.getU32();
-    r.finish();
-    if (has_text == 0)
-        throw LoadError(stem + kExtPac +
-                        ": scan shard carries no text echo");
-
-    ShardState out;
-    const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-    out.segments.assign(segs.begin(), segs.end());
-    // Scan text is copied out (unpacking is a format change anyway),
-    // so the mapping can be dropped right here.
-    out.scan = unpackText(pac.viewArray<u64>(kPacText), local_len,
-                          stem + kExtPac);
-    if (out.scan.size() != segmentsLocalLength(out.segments))
-        throw LoadError(stem + kExtPac +
-                        ": text echo disagrees with the segment map");
-    return out;
-}
-
 } // namespace
 
 // --- single-table companion files ---------------------------------------
 
 void
 saveTableFiles(const ExmaTable &table, const std::string &stem,
-               std::span<const Base> local_text)
+               std::span<const Base> text)
 {
-    const u64 local_len = table.rows() - 1;
-    exma_assert(local_text.empty() || local_text.size() == local_len,
+    const u64 text_len = table.rows() - 1;
+    exma_assert(text.empty() || text.size() == text_len,
                 "text echo holds %zu bases, the table covers %llu",
-                local_text.size(), (unsigned long long)local_len);
+                text.size(), (unsigned long long)text_len);
 
     { // .exma.pac
         FileBuilder fb(kMagicPac);
         BlobWriter w;
         io_detail::putTableConfig(w, table.config());
-        w.putU64(local_len);
-        w.putU32(local_text.empty() ? 0 : 1);
+        w.putU64(text_len);
+        w.putU32(text.empty() ? 0 : 1);
         writeBlob(fb, kPacMeta, w);
-        fb.writeArray<TextSegment>(kPacSegments, table.segments());
-        if (!local_text.empty()) {
-            const std::vector<u64> words = packText(local_text);
+        if (!text.empty()) {
+            const std::vector<u64> words = packText(text);
             fb.writeArray<u64>(kPacText, words);
         }
         fb.save(stem + kExtPac);
@@ -484,6 +413,7 @@ saveTableFiles(const ExmaTable &table, const std::string &stem,
 ShardState
 loadTableFiles(const std::string &stem)
 {
+    probeLoadFaults(stem + kExtPac);
     ShardState out;
     out.files.reserve(3);
     out.files.emplace_back(stem + kExtPac);
@@ -495,16 +425,13 @@ loadTableFiles(const std::string &stem)
 
     ExmaTable::Parts parts;
 
-    { // .exma.pac: config echo + segment map
+    { // .exma.pac: config echo
         const std::vector<u8> blob = pac.readBlob(kPacMeta);
         BlobReader r(blob, stem + kExtPac);
         parts.cfg = io_detail::getTableConfig(r);
-        r.getU64(); // local text length (tooling)
+        r.getU64(); // text length (tooling)
         r.getU32(); // has-text flag
         r.finish();
-        const auto segs = pac.viewArray<TextSegment>(kPacSegments);
-        parts.segments.assign(segs.begin(), segs.end());
-        out.segments = parts.segments;
     }
 
     { // .exma.occ: the EXMA table
@@ -574,90 +501,6 @@ loadTableFiles(const std::string &stem)
 
     out.table = std::make_unique<ExmaTable>(std::move(parts));
     return out;
-}
-
-// --- shard states -------------------------------------------------------
-
-namespace {
-
-/** The one spelling of each kind, indexed by its on-disk value. */
-constexpr const char *kShardKindNames[] = {"empty", "scan", "table"};
-
-} // namespace
-
-const char *
-shardKindName(ShardKind kind)
-{
-    return kShardKindNames[static_cast<u32>(kind)];
-}
-
-std::optional<ShardKind>
-parseShardKind(std::string_view name)
-{
-    for (u32 i = 0; i < std::size(kShardKindNames); ++i)
-        if (name == kShardKindNames[i])
-            return static_cast<ShardKind>(i);
-    return std::nullopt;
-}
-
-void
-validateShardState(const std::string &name, const ShardState &st)
-{
-    const u64 local = segmentsLocalLength(st.segments);
-    exma_assert(!(st.table && !st.scan.empty()),
-                "shard '%s' holds both a table and a scan text",
-                name.c_str());
-    switch (st.kind()) {
-    case ShardKind::Empty:
-        exma_assert(local == 0,
-                    "shard '%s' serves nothing but its segment map "
-                    "covers %llu bases",
-                    name.c_str(), (unsigned long long)local);
-        break;
-    case ShardKind::Scan:
-        exma_assert(st.scan.size() == local,
-                    "shard '%s': scan text holds %zu bases, its segment "
-                    "map %llu",
-                    name.c_str(), st.scan.size(), (unsigned long long)local);
-        break;
-    case ShardKind::Table:
-        exma_assert(st.table->segmented() &&
-                        st.table->segments() == st.segments,
-                    "shard '%s' needs a table mapped by its own segment "
-                    "map to translate hits into global coordinates",
-                    name.c_str());
-        exma_assert(st.table->rows() == local + 1,
-                    "shard '%s': table covers %llu rows, its segment map "
-                    "holds %llu bases",
-                    name.c_str(), (unsigned long long)st.table->rows(),
-                    (unsigned long long)local);
-        break;
-    }
-}
-
-void
-saveShardFiles(const ShardState &st, const std::string &stem)
-{
-    switch (st.kind()) {
-    case ShardKind::Empty:
-        break;
-    case ShardKind::Scan:
-        saveScanFiles(st.scan, st.segments, stem);
-        break;
-    case ShardKind::Table:
-        saveTableFiles(*st.table, stem);
-        break;
-    }
-}
-
-ShardState
-loadShardFiles(ShardKind kind, const std::string &stem)
-{
-    if (kind == ShardKind::Empty)
-        return {};
-    probeLoadFaults(stem + kExtPac);
-    return kind == ShardKind::Table ? loadTableFiles(stem)
-                                    : loadScanFiles(stem);
 }
 
 } // namespace exma

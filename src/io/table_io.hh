@@ -5,16 +5,16 @@
  *
  * One table is three files at a stem:
  *
- *   stem.exma.pac   table config echo, segment map, optional 2-bit text
+ *   stem.exma.pac   table config echo, optional 2-bit text
  *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
  *                   and the trained learned-index model (MTL or naive)
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
  *                   row bit vector
  *
- * A shard that is too small for a table saves only stem.exma.pac,
- * with its text echo as the text it scans; an empty shard saves
- * nothing. ShardState is the one owned value for all three kinds, and
- * saveShardFiles / loadShardFiles are its one save/load pair.
+ * ShardState is the owned value a table serves from, and
+ * saveTableFiles / loadTableFiles are its one save/load pair. A table
+ * covers one contiguous slice of the reference and knows nothing of
+ * where the slice begins; the router that serves it adds the offset.
  *
  * Loading mmaps the files read-only and points the restored
  * structures' hot arrays straight into the mappings
@@ -24,21 +24,19 @@
  * retrained, so a loaded table answers bit-identically to the one
  * that was saved.
  *
- * Whole-index directories (manifest + per-shard files) are one layer
+ * Whole-index directories (manifest + per-table files) are one layer
  * up, in persist/index_io.hh — that layer knows about shard plans and
- * routers; this one stops at a single shard so the io module stays
+ * routers; this one stops at a single table so the io module stays
  * below route/shard in the layering DAG (the exma-worker child loads
- * its shard through exactly this seam).
+ * its table through exactly this seam).
  */
 
 #ifndef EXMA_IO_TABLE_IO_HH
 #define EXMA_IO_TABLE_IO_HH
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/exma_table.hh"
@@ -48,75 +46,31 @@
 namespace exma {
 
 /**
- * What one shard serves. The values are the per-shard state words of
- * a routed manifest, so they are part of the on-disk format.
- */
-enum class ShardKind : u32
-{
-    Empty = 0, ///< no text: every query answers hitless
-    Scan = 1,  ///< too small for a table: its text is scanned directly
-    Table = 2, ///< a segment-mapped ExmaTable
-};
-
-/** The kind's one spelling (the exma-worker --state argument). */
-const char *shardKindName(ShardKind kind);
-/** Inverse of shardKindName; nullopt for any other name. */
-std::optional<ShardKind> parseShardKind(std::string_view name);
-
-/**
- * One shard's serving state, owned: the router holds one per shard,
- * the persisted index saves and loads exactly this, and exma-worker
- * serves it. Which of table / scan is set decides kind().
+ * One table's serving state, owned: the router holds one per distinct
+ * reference slice (shards that serve the same slice borrow it), the
+ * persisted index saves and loads exactly this, and exma-worker
+ * serves it.
  */
 struct ShardState
 {
-    /** Local-to-global segment map (empty for an empty shard). */
-    std::vector<TextSegment> segments;
     /** Mappings the table's hot arrays borrow from; declared before
      *  the table so the table is destroyed first. */
     std::vector<MappedFile> files;
     std::unique_ptr<ExmaTable> table;
-    /** The extracted local text of a scan shard. */
-    std::vector<Base> scan;
-
-    ShardKind kind() const
-    {
-        return table ? ShardKind::Table
-               : scan.empty() ? ShardKind::Empty
-                              : ShardKind::Scan;
-    }
 };
 
-/** Asserts @p st is coherent: one of table / scan at most, each
- *  covering exactly its segment map. @p name labels the failure. */
-void validateShardState(const std::string &name, const ShardState &st);
-
 /**
- * Write @p st at @p stem: stem.exma.{pac,occ,sa} for a table shard,
- * stem.exma.pac (segment map + 2-bit text) for a scan shard, nothing
- * for an empty one.
- */
-void saveShardFiles(const ShardState &st, const std::string &stem);
-
-/**
- * Load the @p kind shard saved at @p stem; throws LoadError on any
- * defect. Every non-empty kind probes the "io.load" fault site once,
- * at stem.exma.pac.
- */
-ShardState loadShardFiles(ShardKind kind, const std::string &stem);
-
-/**
- * Write @p table as stem.exma.{pac,occ,sa}. @p local_text is the text
- * the table was built over (the segment extraction for segment-mapped
- * tables, the whole reference otherwise); pass empty to omit the text
- * echo — every table load works without it, it exists for tooling.
+ * Write @p table as stem.exma.{pac,occ,sa}. @p text is the text the
+ * table was built over; pass empty to omit the text echo — every
+ * table load works without it, it exists for tooling.
  */
 void saveTableFiles(const ExmaTable &table, const std::string &stem,
-                    std::span<const Base> local_text = {});
+                    std::span<const Base> text = {});
 
-/** Load stem.exma.{pac,occ,sa} into a table state (segments from the
- *  .pac, empty for an unsegmented table); throws LoadError on any
- *  defect. */
+/**
+ * Load stem.exma.{pac,occ,sa}; throws LoadError on any defect. Probes
+ * the "io.load" fault site once, at stem.exma.pac.
+ */
 ShardState loadTableFiles(const std::string &stem);
 
 /**
@@ -137,7 +91,8 @@ void writeBlob(FileBuilder &fb, u32 tag, const BlobWriter &w);
 void putTableConfig(BlobWriter &w, const ExmaTable::Config &cfg);
 ExmaTable::Config getTableConfig(BlobReader &r);
 
-/** dir + "/shardNNNN" (4-digit, zero-padded). */
+/** dir + "/shardNNNN" (4-digit, zero-padded): the files of table
+ *  @p i of a routed index (ShardPlan::tableOf). */
 std::string shardStem(const std::string &dir, size_t i);
 
 } // namespace io_detail

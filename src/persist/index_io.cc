@@ -44,17 +44,6 @@ putPlan(BlobWriter &w, const ShardPlan &plan)
         w.putU64(r.lo);
         w.putU64(r.hi);
     }
-    if (plan.kind() == ShardPlanKind::KmerPrefix) {
-        for (size_t s = 0; s < plan.size(); ++s) {
-            const auto &segs = plan.segmentsOf(s);
-            w.putU64(segs.size());
-            for (const TextSegment &seg : segs) {
-                w.putU64(seg.global_begin);
-                w.putU64(seg.local_begin);
-                w.putU64(seg.length);
-            }
-        }
-    }
 }
 
 ShardPlan
@@ -82,21 +71,9 @@ getPlan(BlobReader &r)
         pr.lo = r.getU64();
         pr.hi = r.getU64();
     }
-    std::vector<std::vector<TextSegment>> segments;
-    if (kind == ShardPlanKind::KmerPrefix) {
-        segments.resize(n_shards);
-        for (auto &segs : segments) {
-            segs.resize(r.getU64());
-            for (TextSegment &seg : segs) {
-                seg.global_begin = r.getU64();
-                seg.local_begin = r.getU64();
-                seg.length = r.getU64();
-            }
-        }
-    }
     return ShardPlan::restore(std::move(shards), kind, ref_len, overlap,
                               max_query_len, prefix_len,
-                              std::move(ranges), std::move(segments));
+                              std::move(ranges));
 }
 
 // --- helpers ------------------------------------------------------------
@@ -132,15 +109,10 @@ saveIndex(const ShardRouter &router, const std::string &dir)
     w.putU32(static_cast<u32>(IndexKind::Routed));
     putTableConfig(w, router.config().table);
     w.putU32(router.config().build_threads);
-    w.putU32(router.config().force_broadcast ? 1 : 0);
-    w.putU64(router.config().min_table_bases);
     putPlan(w, plan);
-    w.putU64(plan.size());
-    for (size_t s = 0; s < plan.size(); ++s)
-        w.putU32(static_cast<u32>(router.shard(s).kind()));
     saveManifest(dir, w);
-    for (size_t s = 0; s < plan.size(); ++s)
-        saveShardFiles(router.shard(s), shardStem(dir, s));
+    for (size_t t = 0; t < plan.tableCount(); ++t)
+        saveTableFiles(*router.shardTable(t), shardStem(dir, t));
 }
 
 LoadedIndex
@@ -172,7 +144,7 @@ loadIndex(const std::string &dir)
     switch (out.kind) {
     case IndexKind::Mono: {
         r.finish();
-        ShardState t = loadShardFiles(ShardKind::Table, dir + "/table");
+        ShardState t = loadTableFiles(dir + "/table");
         out.files = std::move(t.files);
         out.table = std::move(t.table);
         break;
@@ -181,41 +153,27 @@ loadIndex(const std::string &dir)
         RouterConfig cfg;
         cfg.table = getTableConfig(r);
         cfg.build_threads = r.getU32();
-        cfg.force_broadcast = r.getU32() != 0;
-        cfg.min_table_bases = r.getU64();
         ShardPlan plan = getPlan(r);
-        const u64 n_states = r.getU64();
-        if (n_states != plan.size())
-            throw LoadError(manifest_path + ": " +
-                            std::to_string(n_states) +
-                            " shard states for a " +
-                            std::to_string(plan.size()) + "-shard plan");
-        std::vector<ShardKind> kinds(n_states);
-        for (ShardKind &k : kinds) {
-            const u32 raw = r.getU32();
-            if (raw > static_cast<u32>(ShardKind::Table))
-                throw LoadError(manifest_path + ": unknown shard state " +
-                                std::to_string(raw));
-            k = static_cast<ShardKind>(raw);
-        }
         r.finish();
 
-        // The shard files are right here: if this router is flipped
+        // The table files are right here: if this router is flipped
         // to the socket transport, its workers mmap-load from this
         // directory instead of re-saving into a temp dir.
         cfg.transport.worker_dir = dir;
 
-        std::vector<ShardState> shards(plan.size());
-        for (size_t s = 0; s < plan.size(); ++s) {
-            shards[s] = loadShardFiles(kinds[s], shardStem(dir, s));
-            if (shards[s].segments != plan.segmentsOf(s))
-                throw LoadError(shardStem(dir, s) +
-                                ": segment map disagrees with the "
-                                "manifest's plan");
+        std::vector<ShardState> tables(plan.tableCount());
+        for (size_t t = 0; t < tables.size(); ++t) {
+            tables[t] = loadTableFiles(shardStem(dir, t));
+            if (tables[t].table->rows() != plan.shards()[t].length + 1)
+                throw LoadError(shardStem(dir, t) + ": table covers " +
+                                std::to_string(tables[t].table->rows() -
+                                               1) +
+                                " bases, the manifest's slice " +
+                                std::to_string(plan.shards()[t].length));
         }
         const auto t1 = std::chrono::steady_clock::now();
         out.router = std::make_unique<ShardRouter>(
-            std::move(plan), cfg, std::move(shards),
+            std::move(plan), cfg, std::move(tables),
             std::chrono::duration<double>(t1 - t0).count());
         break;
     }

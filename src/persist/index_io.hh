@@ -1,15 +1,15 @@
 /**
  * @file
  * Save / load of whole indexes: a directory holding an
- * `index.exma.manifest` (kind, configs, serialized ShardPlan,
- * per-shard state) plus `table.exma.*` for a monolithic index or
- * `shardNNNN.exma.*` per shard for routed ones. Shard files are
- * written and read by the io layer's one ShardState save/load pair
- * (saveShardFiles / loadShardFiles in io/table_io.hh; scan shards
- * carry only the `.pac`). This layer adds the manifest and the
- * shard-plan/router wiring, which is why it lives *above*
- * route/shard in the module DAG (src/persist) while the table layer
- * stays below.
+ * `index.exma.manifest` (kind, configs, serialized ShardPlan) plus
+ * `table.exma.*` for a monolithic index or `shardNNNN.exma.*` per
+ * distinct slice for routed ones (ShardPlan::tableOf: one file set
+ * for a kmerPrefix plan, one per shard for a text plan). Table files
+ * are written and read by the io layer's one save/load pair
+ * (saveTableFiles / loadTableFiles in io/table_io.hh). This layer
+ * adds the manifest and the shard-plan/router wiring, which is why
+ * it lives *above* route/shard in the module DAG (src/persist) while
+ * the table layer stays below.
  *
  * Loading mmaps the files read-only and points the restored
  * structures' hot arrays straight into the mappings, so a LoadedIndex
@@ -56,8 +56,7 @@ void saveIndex(const ShardRouter &router, const std::string &dir);
  * A loaded index of any kind. Exactly one of table / router is set,
  * matching kind. files backs the monolithic table's borrowed hot
  * arrays and is declared first so the table is destroyed before the
- * mappings; a routed index's mappings live in the router's
- * ShardStates.
+ * mappings; a routed index's mappings live in the router's tables.
  */
 struct LoadedIndex
 {

@@ -18,11 +18,8 @@ ReplicaSet::ReplicaSet(std::string shard_name, TransportFactory factory,
     MutexLock lock(mtx_);
     replicas_.reserve(replica_count_);
     health_.resize(replica_count_);
-    const auto now = std::chrono::steady_clock::now();
-    for (unsigned i = 0; i < replica_count_; ++i) {
+    for (unsigned i = 0; i < replica_count_; ++i)
         replicas_.push_back(spawnLocked(i));
-        health_[i] = {0, now};
-    }
 }
 
 std::shared_ptr<Transport>
@@ -127,7 +124,7 @@ ReplicaSet::reviveDeadLocked(
         // the caller releases mtx_.
         retired.push_back(std::move(replicas_[i]));
         replicas_[i] = spawnLocked(i);
-        health_[i] = {0, std::chrono::steady_clock::now()};
+        health_[i] = {};
         respawns_.fetch_add(1, std::memory_order_relaxed);
         ++revived;
     }
@@ -153,14 +150,21 @@ ReplicaSet::superviseOnce(u64 hang_timeout_ms)
             const auto &w = replicas_[i];
             if (w->isDead())
                 continue;
+            Health &h = health_[i];
             const u64 hb = w->heartbeat();
-            if (w->inboxDepth() == 0 || hb != health_[i].heartbeat) {
-                health_[i] = {hb, now};
+            if (!w->ready() || w->inboxDepth() == 0 || hb != h.heartbeat) {
+                h = {hb, false, {}}; // starting, idle or moving
                 continue;
             }
-            if (now - health_[i].changed >=
-                std::chrono::milliseconds(hang_timeout_ms))
+            if (!h.stalled) {
+                // Dated from this pass, not the last idle one: a gap
+                // between passes is not time the replica was stuck.
+                h.stalled = true;
+                h.stalled_since = now;
+            } else if (now - h.stalled_since >=
+                       std::chrono::milliseconds(hang_timeout_ms)) {
                 hung.push_back(w);
+            }
         }
     }
     // Kill outside the lock (resolves promises), then respawn.

@@ -1,11 +1,10 @@
 /**
  * @file
  * R-way replication of one shard: a ReplicaSet owns R transports
- * serving the same prefix range off the same immutable shard state
- * (table / scan reference / segment map — mmap-backed when the index
- * was loaded, so a respawn is pointer reuse, not a rebuild; the
- * software analogue of the paper's per-channel redundancy the hardware
- * never needed).
+ * serving the same shard off the same immutable table (mmap-backed
+ * when the index was loaded, so a respawn is pointer reuse, not a
+ * rebuild; the software analogue of the paper's per-channel
+ * redundancy the hardware never needed).
  *
  * The set is transport-agnostic: it spawns replicas through a
  * TransportFactory, so the same routing/supervision machinery drives
@@ -20,8 +19,8 @@
  * replacement, which is exactly what the kill-loop soak wants.
  *
  * Health: superviseOnce() replaces dead replicas and puts down hung
- * ones (inbox non-empty but heartbeat frozen past the timeout) before
- * replacing them too. The router additionally calls reviveDead()
+ * ones (a ready replica whose inbox stays non-empty with a frozen
+ * heartbeat past the timeout) before replacing them too. The router additionally calls reviveDead()
  * inline on failover so a request never waits for the supervisor tick
  * to find a live replica.
  */
@@ -87,8 +86,10 @@ class ReplicaSet
 
     /**
      * One supervisor pass: respawn dead replicas, and kill-then-respawn
-     * any replica whose inbox is non-empty but whose heartbeat has not
-     * moved for @p hang_timeout_ms. Returns respawn count.
+     * any ready replica that has had queued work and an unchanged
+     * heartbeat for @p hang_timeout_ms, dated from the first pass that
+     * saw the stall. A replica that is not ready yet is starting, not
+     * stalled. Returns respawn count.
      */
     u64 superviseOnce(u64 hang_timeout_ms);
 
@@ -126,7 +127,8 @@ class ReplicaSet
     struct Health
     {
         u64 heartbeat = 0;
-        std::chrono::steady_clock::time_point changed;
+        bool stalled = false; ///< a pass saw queued work, heartbeat still
+        std::chrono::steady_clock::time_point stalled_since;
     };
 
     mutable Mutex mtx_;

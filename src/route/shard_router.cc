@@ -36,9 +36,8 @@ checkQueries(const ShardPlan &plan,
         if (plan.boundsQueries())
             exma_assert(q.size() <= plan.maxQueryLen(),
                         "routed search: %zu-base query exceeds the "
-                        "plan's max_query_len of %llu — matches could "
-                        "run past a shard's context windows; re-plan "
-                        "with a larger max_query_len",
+                        "plan's max_query_len of %llu; re-plan with a "
+                        "larger max_query_len",
                         q.size(),
                         (unsigned long long)plan.maxQueryLen());
     }
@@ -106,23 +105,24 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 "%zu",
                 (unsigned long long)plan_.refLength(), ref.size());
 
-    const size_t n_shards = plan_.size();
-    shards_.resize(n_shards);
+    // Table t serves the slice of shard t, its first user.
+    tables_.resize(plan_.tableCount());
     const auto t0 = Clock::now();
     parallelFor(
-        n_shards, 1,
+        tables_.size(), 1,
         [&](u64 begin, u64 end, unsigned) {
-            for (u64 s = begin; s < end; ++s) {
-                ShardState &st = shards_[s];
-                st.segments = plan_.segmentsOf(s);
-                const u64 local = segmentsLocalLength(st.segments);
-                if (local == 0)
-                    continue; // empty prefix range: hitless worker
-                if (local < cfg_.min_table_bases)
-                    st.scan = extractSegments(ref, st.segments);
-                else
-                    st.table = std::make_unique<ExmaTable>(
-                        ref, st.segments, cfg_.table);
+            for (u64 t = begin; t < end; ++t) {
+                const Shard &sl = plan_.shards()[t];
+                tables_[t].table =
+                    sl.length == ref.size()
+                        ? std::make_unique<ExmaTable>(ref, cfg_.table)
+                        : std::make_unique<ExmaTable>(
+                              std::vector<Base>(
+                                  ref.begin() +
+                                      static_cast<std::ptrdiff_t>(sl.begin),
+                                  ref.begin() +
+                                      static_cast<std::ptrdiff_t>(sl.end())),
+                              cfg_.table);
             }
         },
         cfg_.build_threads);
@@ -133,16 +133,22 @@ ShardRouter::ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
 }
 
 ShardRouter::ShardRouter(ShardPlan plan, RouterConfig cfg,
-                         std::vector<ShardState> shards,
+                         std::vector<ShardState> tables,
                          double load_seconds)
     : plan_(std::move(plan)), cfg_(std::move(cfg)),
-      shards_(std::move(shards)), build_seconds_(load_seconds)
+      tables_(std::move(tables)), build_seconds_(load_seconds)
 {
     installFaultInjectorFromEnvOnce();
     exma_assert(plan_.size() > 0, "shard plan holds no shards");
-    exma_assert(shards_.size() == plan_.size(),
-                "adopted %zu shard states for a %zu-shard plan",
-                shards_.size(), plan_.size());
+    exma_assert(tables_.size() == plan_.tableCount(),
+                "adopted %zu tables for a plan serving %zu",
+                tables_.size(), plan_.tableCount());
+    for (size_t t = 0; t < tables_.size(); ++t)
+        exma_assert(tables_[t].table &&
+                        tables_[t].table->rows() ==
+                            plan_.shards()[t].length + 1,
+                    "adopted table %zu does not cover shard '%s'", t,
+                    plan_.shards()[t].name.c_str());
     spawnReplicas();
 }
 
@@ -174,8 +180,8 @@ ShardRouter::prepareWorkerFiles()
         worker_dir_ = cfg_.transport.worker_dir;
         return;
     }
-    // Built in memory: save the shards once into an owned temp
-    // directory so children can mmap them; removed in the destructor.
+    // Built in memory: save each table once into an owned temp
+    // directory so children can mmap it; removed in the destructor.
     static std::atomic<u64> dir_seq{0};
     const std::string dir =
         (std::filesystem::temp_directory_path() /
@@ -184,8 +190,8 @@ ShardRouter::prepareWorkerFiles()
           std::to_string(dir_seq.fetch_add(1))))
             .string();
     std::filesystem::create_directories(dir);
-    for (size_t s = 0; s < plan_.size(); ++s)
-        saveShardFiles(shards_[s], io_detail::shardStem(dir, s));
+    for (size_t t = 0; t < tables_.size(); ++t)
+        saveTableFiles(*tables_[t].table, io_detail::shardStem(dir, t));
     worker_dir_ = dir;
     temp_dir_ = dir;
 }
@@ -193,16 +199,15 @@ ShardRouter::prepareWorkerFiles()
 TransportFactory
 ShardRouter::shardFactory(size_t s)
 {
-    const ShardState &st = shards_[s];
+    const size_t t = plan_.tableOf(s);
     if (transport_kind_ == TransportKind::InProcess)
-        return [&st](const std::string &name) -> std::shared_ptr<Transport> {
+        return [&st = tables_[t]](const std::string &name)
+                   -> std::shared_ptr<Transport> {
             return std::make_shared<ShardWorker>(name, st);
         };
     SocketTransportConfig scfg;
     scfg.binary = worker_binary_;
-    scfg.kind = st.kind();
-    if (scfg.kind != ShardKind::Empty)
-        scfg.stem = io_detail::shardStem(worker_dir_, s);
+    scfg.stem = io_detail::shardStem(worker_dir_, t);
     return [scfg](const std::string &name) -> std::shared_ptr<Transport> {
         return std::make_shared<SocketTransport>(name, scfg);
     };
@@ -211,8 +216,6 @@ ShardRouter::shardFactory(size_t s)
 void
 ShardRouter::spawnReplicas()
 {
-    for (size_t s = 0; s < plan_.size(); ++s)
-        validateShardState(plan_.shards()[s].name, shards_[s]);
     transport_kind_ = resolveTransportKind(cfg_.transport.kind);
     if (transport_kind_ == TransportKind::Socket)
         prepareWorkerFiles();
@@ -233,11 +236,11 @@ ShardRouter::spawnReplicas()
 }
 
 u64
-ShardRouter::totalLocalBases() const
+ShardRouter::storedBases() const
 {
     u64 n = 0;
-    for (const ShardState &st : shards_)
-        n += segmentsLocalLength(st.segments);
+    for (size_t t = 0; t < tables_.size(); ++t)
+        n += plan_.shards()[t].length;
     return n;
 }
 
@@ -245,9 +248,8 @@ u64
 ShardRouter::totalRows() const
 {
     u64 rows = 0;
-    for (const ShardState &st : shards_)
-        if (st.table)
-            rows += st.table->rows();
+    for (const ShardState &st : tables_)
+        rows += st.table->rows();
     return rows;
 }
 
@@ -266,32 +268,29 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
     for (const auto &q : queries)
         out.bases += q.size();
 
-    const bool broadcast_only =
-        cfg_.force_broadcast || plan_.kind() != ShardPlanKind::KmerPrefix;
+    const bool routed = plan_.kind() == ShardPlanKind::KmerPrefix;
 
     const auto t0 = Clock::now();
 
-    // Classify: one id list per shard, and per query the number of
-    // shards serving it (hits from fan-out > 1 need deduplication).
+    // Classify: one id list per shard. A prefix plan sends each query
+    // to the owner of its padded range's first code alone (every
+    // prefix shard serves the same table); a text plan sends it to
+    // every shard.
     std::vector<std::vector<u32>> ids(sets_.size());
-    std::vector<u8> fanout(queries.size(), 0);
     for (size_t i = 0; i < queries.size(); ++i) {
-        size_t first = 0;
-        size_t last = sets_.size() - 1;
-        if (!broadcast_only) {
+        if (routed) {
             const PrefixRange r = plan_.queryPrefixRange(
                 queries[i].data(), queries[i].size());
-            std::tie(first, last) = plan_.ownersOfRange(r.lo, r.hi);
+            ids[plan_.ownerOf(r.lo)].push_back(static_cast<u32>(i));
+        } else {
+            for (auto &shard_ids : ids)
+                shard_ids.push_back(static_cast<u32>(i));
         }
-        for (size_t s = first; s <= last; ++s)
-            ids[s].push_back(static_cast<u32>(i));
-        const size_t n_owners = last - first + 1;
-        fanout[i] = static_cast<u8>(std::min<size_t>(n_owners, 255));
-        if (n_owners == 1)
-            ++out.routed_queries;
-        else
-            ++out.broadcast_queries;
     }
+    if (routed || sets_.size() == 1)
+        out.routed_queries = queries.size();
+    else
+        out.broadcast_queries = queries.size();
 
     u64 respawns_before = 0;
     for (const auto &set : sets_)
@@ -459,13 +458,18 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
         out.degraded_queries += d;
 
     // Merge: single-owner hits move straight in (already sorted and
-    // duplicate-free within one shard); fanned-out queries collect all
-    // owners' hits and dedup below.
+    // duplicate-free within one shard); broadcast queries collect
+    // every shard's hits and dedup below. A table over a text slice
+    // reports slice positions: add the slice's begin.
     for (ShardCall &c : calls) {
         if (c.failed)
             continue;
         WorkerResponse &resp = c.resp;
         out.per_shard[c.shard] = resp.stats;
+        if (const u64 begin = plan_.shards()[c.shard].begin; begin > 0)
+            for (auto &hits : resp.hits)
+                for (u64 &pos : hits)
+                    pos += begin;
         for (size_t j = 0; j < resp.ids.size(); ++j) {
             auto &dst = out.hits[resp.ids[j]];
             if (dst.empty())
@@ -485,7 +489,7 @@ ShardRouter::search(const std::vector<std::vector<Base>> &queries,
             [&](u64 begin, u64 end, unsigned) {
                 for (u64 i = begin; i < end; ++i) {
                     auto &h = out.hits[i];
-                    if (fanout[i] > 1) {
+                    if (out.broadcast_queries > 0) {
                         std::sort(h.begin(), h.end());
                         h.erase(std::unique(h.begin(), h.end()),
                                 h.end());

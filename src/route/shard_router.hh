@@ -6,14 +6,18 @@
  *
  * Broadcasting every query across every shard makes one core do
  * shard-count times the work per query. A kmerPrefix ShardPlan avoids
- * that: a query's first prefixLen() bases name the one shard owning
- * every position its matches can start at, so the router classifies a
- * batch by prefix, hands each shard's ReplicaSet only the queries it
- * owns, and merges the responses into sorted, deduplicated global
- * positions under one global locate cap. Queries shorter than the
- * routing prefix whose padded code range straddles a partition
- * boundary fall back to a broadcast across the straddled shards (their
- * matches' owners all lie in that range).
+ * that: a query's first prefixLen() bases name the one shard that
+ * serves it, so the router classifies a batch by prefix, hands each
+ * shard's ReplicaSet only the queries it owns, and merges the
+ * responses under one global locate cap. Every prefix shard serves
+ * the same table, one monolith over the whole reference, so a query
+ * shorter than the routing prefix goes to the owner of its padded
+ * range's first code and still finds every match.
+ *
+ * The router builds one table per distinct slice (ShardPlan::
+ * tableOf): in-process workers of every shard serving a slice borrow
+ * its table, and socket workers mmap the same files, so the page
+ * cache holds one copy however many workers serve it.
  *
  * Transports (RouterConfig::transport): each replica is either an
  * in-process ShardWorker sharing the router's address space (the
@@ -35,8 +39,10 @@
  * Text-partitioned plans (fixedWidth, perRecord) are served too,
  * broadcast-only through the same workers: this is the one serving
  * path for every plan kind, so routed-vs-broadcast comparisons run on
- * identical execution machinery. Overlap-zone matches found by two
- * neighbouring shards merge into one global position.
+ * identical execution machinery. Each text shard's table reports
+ * positions in its slice; the merge adds the slice's begin, and
+ * overlap-zone matches found by two neighbouring shards merge into
+ * one global position.
  *
  * Thread-safety analysis: search() is const and keeps all cross-thread
  * traffic inside annotated machinery — requests ride the workers'
@@ -113,10 +119,10 @@ struct TransportConfig
 {
     TransportKind kind = TransportKind::Auto;
     /**
-     * Directory already holding per-shard `shardNNNN.exma.*` files for
-     * workers to mmap-load (set by loadIndex on routed directories).
-     * Empty = the router saves its shards into a temp directory it
-     * owns for the workers' lifetime.
+     * Directory already holding per-table `shardNNNN.exma.*` files
+     * for workers to mmap-load (set by loadIndex on routed
+     * directories). Empty = the router saves its tables into a temp
+     * directory it owns for the workers' lifetime.
      */
     std::string worker_dir;
     /**
@@ -130,18 +136,8 @@ struct RouterConfig
 {
     /** Per-shard table configuration (same k for every shard). */
     ExmaTable::Config table;
-    /** Shard-build parallelism: 0 = pool width, 1 = serial. */
+    /** Table-build parallelism: 0 = pool width, 1 = serial. */
     unsigned build_threads = 0;
-    /**
-     * Serve every query via every shard (measurement baseline; also
-     * the only mode text-partitioned plans support).
-     */
-    bool force_broadcast = false;
-    /**
-     * Shards whose searchable text is shorter than this are served by
-     * direct segment scanning instead of an ExmaTable of their own.
-     */
-    u64 min_table_bases = ShardPlan::kMinShardBases;
     /** Replication / failover policy (see FailoverConfig). */
     FailoverConfig failover;
     /** Replica execution: in-process threads or worker processes. */
@@ -192,26 +188,25 @@ class ShardRouter
 {
   public:
     /**
-     * Build one replica set per shard of @p plan over @p ref:
-     * segment-mapped ExmaTables built pool-parallel for indexable
-     * shards, scan workers for tiny ones, hitless workers for empty
-     * prefix ranges. Replicas share the shard state; only workers are
+     * Build one table per distinct slice of @p plan over @p ref (pool-
+     * parallel), then one replica set per shard. Every replica of
+     * every shard serving a slice shares its table; only workers are
      * duplicated.
      */
     ShardRouter(const std::vector<Base> &ref, const ShardPlan &plan,
                 const RouterConfig &cfg);
 
     /**
-     * Adopt pre-restored per-shard state (src/persist/index_io.cc)
-     * instead of building: @p shards is index-parallel with @p plan's
-     * shards and holds what the building constructor would have
-     * produced. Workers are spawned over the adopted state;
-     * @p load_seconds is reported as buildSeconds().
+     * Adopt pre-restored tables (src/persist/index_io.cc) instead of
+     * building: @p tables is index-parallel with @p plan's tables
+     * (ShardPlan::tableOf) and holds what the building constructor
+     * would have produced. Workers are spawned over the adopted
+     * tables; @p load_seconds is reported as buildSeconds().
      */
     ShardRouter(ShardPlan plan, RouterConfig cfg,
-                std::vector<ShardState> shards, double load_seconds);
+                std::vector<ShardState> tables, double load_seconds);
 
-    /** Joins/reaps all replicas, then removes the owned temp shard
+    /** Joins/reaps all replicas, then removes the owned temp table
      *  directory if socket workers needed one. */
     ~ShardRouter();
 
@@ -230,31 +225,33 @@ class ShardRouter
      */
     ReplicaSet &replicaSet(size_t i) const { return *sets_[i]; }
 
-    /** Shard @p i's serving state (serialization, inspection). */
-    const ShardState &shard(size_t i) const { return shards_[i]; }
-
-    /** Shard @p i's table, or null for scan/empty shards. */
+    /**
+     * The table shard @p i serves. Table t of the plan is
+     * shardTable(t), since the first shard serving a slice has the
+     * slice's table index.
+     */
     const ExmaTable *shardTable(size_t i) const
     {
-        return shards_[i].table.get();
+        return tables_[plan_.tableOf(i)].table.get();
     }
 
-    /** Wall-clock seconds the (parallel) shard builds took. */
+    /** Wall-clock seconds the (parallel) table builds took. */
     double buildSeconds() const { return build_seconds_; }
 
     /**
-     * Sum of per-shard searchable bases. Prefix shards replicate
-     * context windows, so this exceeds the reference length; the ratio
-     * is the plan's replication factor.
+     * Bases the router's tables index: the sum of its distinct slice
+     * lengths. Over the reference length, this is how many copies of
+     * the reference the plan stores.
      */
-    u64 totalLocalBases() const;
+    u64 storedBases() const;
 
-    /** Sum of per-shard BW-matrix row counts (indexed shards only). */
+    /** Sum of the tables' BW-matrix row counts. */
     u64 totalRows() const;
 
     /**
-     * Classify @p queries by prefix, run each on its owner shard(s)
-     * through the replica tier, and merge into global positions.
+     * Classify @p queries by prefix, run each on its owner shard (or,
+     * for a text plan, every shard) through the replica tier, and
+     * merge into global positions.
      * Queries must be non-empty and no longer than
      * plan().maxQueryLen() when the plan bounds queries.
      * cfg.locate_limit applies globally after the merge — the lowest
@@ -279,22 +276,22 @@ class ShardRouter
                              SearchStats *stats = nullptr) const;
 
   private:
-    /** Validate every shard, then spawn the replica sets over
-     *  shards_, plus the supervisor when configured. */
+    /** Spawn the replica sets over tables_, plus the supervisor when
+     *  configured. */
     void spawnReplicas();
     /** Factory for shard @p s's replicas under transport_kind_. */
     TransportFactory shardFactory(size_t s);
-    /** Ensure shard files exist on disk for socket workers; sets
+    /** Ensure table files exist on disk for socket workers; sets
      *  worker_dir_ (and temp_dir_ when the router saves them itself). */
     void prepareWorkerFiles();
 
     ShardPlan plan_;
     RouterConfig cfg_;
-    /** One state per plan shard, complete before spawnReplicas and
+    /** One state per plan table, complete before spawnReplicas and
      *  never resized after: in-process workers borrow its elements. */
-    std::vector<ShardState> shards_;
+    std::vector<ShardState> tables_;
     TransportKind transport_kind_ = TransportKind::InProcess;
-    /** Directory socket workers load their shard files from. */
+    /** Directory socket workers load their table files from. */
     std::string worker_dir_;
     /** Resolved exma-worker path (socket transport only). */
     std::string worker_binary_;

@@ -35,7 +35,6 @@ ShardPlan::fixedWidth(u64 ref_len, unsigned n_shards, u64 max_query_len)
         plan.shards_.push_back(
             {"shard" + std::to_string(i), begin, end - begin});
     }
-    plan.deriveTextSegments();
     return plan;
 }
 
@@ -69,26 +68,24 @@ ShardPlan::kmerPrefix(const std::vector<Base> &ref, unsigned n_shards,
     plan.overlap_ = 0;
     plan.prefix_len_ = prefix_len;
 
-    // A-padded rolling prefix code of every position, back to front:
-    // code(g) = ref[g..g+p) packed, missing tail bases reading as 'A'
-    // (code 0) so every position — including the last p-1 — has a
-    // well-defined owner that any query starting there still reaches.
+    // Owned-position histogram over the A-padded rolling prefix code
+    // of every position, back to front: code(g) = ref[g..g+p) packed,
+    // missing tail bases reading as 'A' (code 0) so every position —
+    // including the last p-1 — has a well-defined owner that any
+    // query starting there still reaches.
     const int p = prefix_len;
     const u64 codes = kmerSpace(p);
-    std::vector<u32> code_of(n);
+    std::vector<u64> hist(codes, 0);
     Kmer rolling = 0;
     for (u64 g = n; g-- > 0;) {
         rolling = (static_cast<Kmer>(ref[g] & 3) << (2 * (p - 1))) |
                   (rolling >> 2);
-        code_of[g] = static_cast<u32>(rolling);
+        ++hist[rolling];
     }
 
-    // Owned-position histogram -> contiguous cuts of ~equal weight.
-    // Heavily skewed references can jump past several targets at one
-    // code; the ranges left behind are empty, which is legal.
-    std::vector<u64> hist(codes, 0);
-    for (u64 g = 0; g < n; ++g)
-        ++hist[code_of[g]];
+    // Contiguous cuts of ~equal weight. Heavily skewed references can
+    // jump past several targets at one code; the ranges left behind
+    // are empty, which is legal.
     std::vector<Kmer> cut(n_shards + 1, codes);
     cut[0] = 0;
     u64 acc = 0;
@@ -99,36 +96,9 @@ ShardPlan::kmerPrefix(const std::vector<Base> &ref, unsigned n_shards,
                acc * n_shards >= static_cast<u64>(next) * n)
             cut[next++] = c + 1;
     }
-    for (unsigned s = 0; s < n_shards; ++s)
-        plan.prefix_ranges_.push_back({cut[s], cut[s + 1]});
-
-    std::vector<u32> shard_of(codes);
-    for (unsigned s = 0; s < n_shards; ++s)
-        for (Kmer c = cut[s]; c < cut[s + 1]; ++c)
-            shard_of[c] = s;
-
-    // Each owned position contributes its [g, g + max_query_len)
-    // context window; windows merge into maximal runs per shard, so a
-    // global position appears at most once in any one shard's map.
-    plan.segments_.assign(n_shards, {});
-    const u64 W = max_query_len;
-    for (u64 g = 0; g < n; ++g) {
-        auto &segs = plan.segments_[shard_of[code_of[g]]];
-        const u64 wend = std::min(n, g + W);
-        if (!segs.empty() && g <= segs.back().global_end())
-            segs.back().length =
-                std::max(segs.back().global_end(), wend) -
-                segs.back().global_begin;
-        else
-            segs.push_back({g, 0, wend - g});
-    }
     for (unsigned s = 0; s < n_shards; ++s) {
-        u64 local = 0;
-        for (TextSegment &seg : plan.segments_[s]) {
-            seg.local_begin = local;
-            local += seg.length;
-        }
-        plan.shards_.push_back({"prefix" + std::to_string(s), 0, local});
+        plan.prefix_ranges_.push_back({cut[s], cut[s + 1]});
+        plan.shards_.push_back({"prefix" + std::to_string(s), 0, n});
     }
     return plan;
 }
@@ -233,15 +203,13 @@ ShardPlan::perRecord(const std::vector<RecordSpan> &records)
     plan.ref_len_ = cursor;
     exma_assert(!plan.shards_.empty(),
                 "per-record plan: every record is empty");
-    plan.deriveTextSegments();
     return plan;
 }
 
 ShardPlan
 ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
                    u64 ref_len, u64 overlap, u64 max_query_len,
-                   int prefix_len, std::vector<PrefixRange> prefix_ranges,
-                   std::vector<std::vector<TextSegment>> segments)
+                   int prefix_len, std::vector<PrefixRange> prefix_ranges)
 {
     ShardPlan plan;
     plan.shards_ = std::move(shards);
@@ -251,7 +219,6 @@ ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
     plan.max_query_len_ = max_query_len;
     plan.prefix_len_ = prefix_len;
     plan.prefix_ranges_ = std::move(prefix_ranges);
-    plan.segments_ = std::move(segments);
 
     exma_assert(!plan.shards_.empty(), "plan restore: no shards");
     exma_assert(plan.ref_len_ > 0, "plan restore: empty reference");
@@ -260,10 +227,9 @@ ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
                         plan.prefix_len_ <= kMaxPrefixLen,
                     "plan restore: prefix_len %d out of range",
                     plan.prefix_len_);
-        exma_assert(plan.prefix_ranges_.size() == plan.shards_.size() &&
-                        plan.segments_.size() == plan.shards_.size(),
-                    "plan restore: per-shard arrays disagree with the "
-                    "shard count");
+        exma_assert(plan.prefix_ranges_.size() == plan.shards_.size(),
+                    "plan restore: %zu prefix ranges for %zu shards",
+                    plan.prefix_ranges_.size(), plan.shards_.size());
         // Ranges must be contiguous and cover the whole code space —
         // the invariant ownerOf()'s binary search relies on.
         Kmer expect = 0;
@@ -275,28 +241,22 @@ ShardPlan::restore(std::vector<Shard> shards, ShardPlanKind kind,
         exma_assert(expect == kmerSpace(plan.prefix_len_),
                     "plan restore: prefix ranges do not cover the code "
                     "space");
-        for (const auto &segs : plan.segments_)
-            validateSegments(segs, plan.ref_len_);
+        // tableOf() shares one table: it must be the whole reference.
+        for (const Shard &sh : plan.shards_)
+            exma_assert(sh.begin == 0 && sh.length == plan.ref_len_,
+                        "plan restore: prefix shard '%s' does not span "
+                        "the reference",
+                        sh.name.c_str());
     } else {
-        exma_assert(plan.prefix_ranges_.empty() &&
-                        plan.segments_.empty() && plan.prefix_len_ == 0,
+        exma_assert(plan.prefix_ranges_.empty() && plan.prefix_len_ == 0,
                     "plan restore: text plan carries prefix state");
         for (const Shard &sh : plan.shards_)
-            exma_assert(sh.end() <= plan.ref_len_,
-                        "plan restore: shard '%s' runs past the "
-                        "reference",
+            exma_assert(sh.length > 0 && sh.end() <= plan.ref_len_,
+                        "plan restore: shard '%s' is empty or runs past "
+                        "the reference",
                         sh.name.c_str());
-        plan.deriveTextSegments();
     }
     return plan;
-}
-
-void
-ShardPlan::deriveTextSegments()
-{
-    segments_.clear();
-    for (const Shard &sh : shards_)
-        segments_.push_back({TextSegment{sh.begin, 0, sh.length}});
 }
 
 } // namespace exma

@@ -5,8 +5,10 @@
  * k-step FM-index across parallel memory channels/DIMMs; FindeR makes
  * the same move for FM-index rank hardware).
  *
- * A ShardPlan cuts the concatenated reference into contiguous shards,
- * each of which gets its own ExmaTable. Two partitioning policies:
+ * A ShardPlan assigns queries to shards, and every shard serves one
+ * ExmaTable over one contiguous slice ref[begin, begin + length) of
+ * the concatenated reference. Shards with the same slice share one
+ * table (tableOf()). Three partitioning policies:
  *
  *  - fixedWidth: N equal-stride shards, adjacent shards overlapping by
  *    max_query_len - 1 bases. Any match of length <= max_query_len
@@ -27,16 +29,11 @@
  *    slices. Every text position belongs to the shard whose code range
  *    [lo, hi) contains the packed code of its first prefix_len bases
  *    (A-padded near the reference end), so all matches of a query
- *    start at positions owned by the shard of the query's own prefix —
- *    the routing invariant the ShardRouter exploits to send most
- *    queries to a single shard. Each shard's searchable text is the
- *    union of max_query_len windows after its owned positions, merged
- *    into maximal runs and described as a TextSegment map (see
- *    core/text_segments.hh). Nearby positions usually land in
- *    different shards, so windows overlap across shards: prefix
- *    partitioning trades replicated text (factor ≈ min(shards,
- *    max_query_len) on low-repeat references) for single-shard query
- *    execution — the classic term-partitioned-index trade.
+ *    start at positions owned by the shard of the query's own prefix.
+ *    Every shard's slice is the whole reference, so all of them share
+ *    one monolithic table: the prefix only decides which shard's
+ *    workers answer a query, which lets the router send each query to
+ *    exactly one shard without copying any text.
  */
 
 #ifndef EXMA_SHARD_SHARD_PLAN_HH
@@ -47,12 +44,11 @@
 
 #include "common/dna.hh"
 #include "common/types.hh"
-#include "core/text_segments.hh"
 #include "genome/reference.hh"
 
 namespace exma {
 
-/** One contiguous slice of the global reference. */
+/** A shard: the contiguous slice of the global reference it serves. */
 struct Shard
 {
     std::string name;
@@ -116,17 +112,16 @@ class ShardPlan
     /**
      * Prefix-partitioned plan: split the packed prefix_len-mer code
      * space [0, 4^prefix_len) into @p n_shards contiguous ranges of
-     * roughly equal owned-position weight (measured on @p ref), and
-     * record per shard the TextSegment map covering every owned
-     * position's [pos, pos + max_query_len) context window. Ranges
-     * with no occurrences produce shards with an empty segment map —
-     * legal, and served as trivially hitless by the router.
+     * roughly equal owned-position weight (measured on @p ref). Every
+     * shard's slice is the whole reference. Ranges with no
+     * occurrences are legal. Queries stay bounded by
+     * @p max_query_len.
      *
      * @param prefix_len routing prefix p in bases; 0 picks an
      *        automatic value (smallest p with 4^p >= 64 * n_shards,
-     *        clamped to [2, 8]). Queries shorter than p can only be
-     *        routed when their padded code range stays inside one
-     *        shard; otherwise the router broadcasts them.
+     *        clamped to [2, 8]). A query shorter than p pads to a code
+     *        range; the router sends it to the owner of the range's
+     *        first code.
      */
     static ShardPlan kmerPrefix(const std::vector<Base> &ref,
                                 unsigned n_shards, u64 max_query_len,
@@ -136,14 +131,11 @@ class ShardPlan
      * Reassemble a plan from its serialized members (src/persist/
      * index_io.cc) without re-deriving anything from the reference.
      * Validates the cross-member invariants the factories guarantee.
-     * @p segments holds kmerPrefix maps only; a text plan passes none
-     * and derives its one-slice maps from @p shards.
      */
     static ShardPlan restore(std::vector<Shard> shards, ShardPlanKind kind,
                              u64 ref_len, u64 overlap, u64 max_query_len,
                              int prefix_len,
-                             std::vector<PrefixRange> prefix_ranges,
-                             std::vector<std::vector<TextSegment>> segments);
+                             std::vector<PrefixRange> prefix_ranges);
 
     const std::vector<Shard> &shards() const { return shards_; }
     size_t size() const { return shards_.size(); }
@@ -164,13 +156,18 @@ class ShardPlan
     }
 
     /**
-     * Segment map of shard @p i: the owned context windows of a
-     * kmerPrefix shard, the one slice {begin, 0, length} of a text
-     * shard.
+     * The table shard @p i serves, in [0, tableCount()): every
+     * kmerPrefix shard shares table 0 (the whole reference), and
+     * every text shard has its own slice and table.
      */
-    const std::vector<TextSegment> &segmentsOf(size_t i) const
+    size_t tableOf(size_t i) const
     {
-        return segments_[i];
+        return kind_ == ShardPlanKind::KmerPrefix ? 0 : i;
+    }
+    /** Distinct slices, hence tables, the plan's shards serve. */
+    size_t tableCount() const
+    {
+        return kind_ == ShardPlanKind::KmerPrefix ? 1 : shards_.size();
     }
 
     /** Shard owning padded prefix code @p code (kmerPrefix plans). */
@@ -179,8 +176,9 @@ class ShardPlan
     /**
      * Inclusive [first, last] shard indices whose prefix ranges
      * intersect the non-empty code range [lo, hi) — the owner set of a
-     * query whose prefix pads to that range. first == last means the
-     * query routes to a single shard.
+     * query whose prefix pads to that range. The router serves a
+     * query on `first` alone, since every prefix shard answers from
+     * the same table.
      */
     std::pair<size_t, size_t> ownersOfRange(Kmer lo, Kmer hi) const;
 
@@ -208,17 +206,13 @@ class ShardPlan
     }
 
   private:
-    /** Text plans: one whole-shard segment per shard. */
-    void deriveTextSegments();
-
     std::vector<Shard> shards_;
     ShardPlanKind kind_ = ShardPlanKind::Text;
     u64 ref_len_ = 0;
     u64 overlap_ = 0;
     u64 max_query_len_ = kUnboundedQueryLen;
     int prefix_len_ = 0;
-    std::vector<PrefixRange> prefix_ranges_;      ///< kmerPrefix only
-    std::vector<std::vector<TextSegment>> segments_; ///< one per shard
+    std::vector<PrefixRange> prefix_ranges_; ///< kmerPrefix only
 };
 
 } // namespace exma

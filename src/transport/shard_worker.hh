@@ -11,8 +11,9 @@
  * cancelled) and answers it WorkerDown.
  *
  * The ShardState it borrows (owned by the router) is immutable and
- * must outlive the worker; the inbox protocol, liveness counters and
- * fault injection live in Transport.
+ * must outlive the worker; every worker of every shard serving the
+ * same slice borrows the same one. The inbox protocol, liveness
+ * counters and fault injection live in Transport.
  */
 
 #ifndef EXMA_TRANSPORT_SHARD_WORKER_HH
@@ -31,8 +32,8 @@ class ShardWorker final : public Transport
     /**
      * @param name   stable worker name; also the fault-injection site
      *               ("<shard>/r<i>" in a ReplicaSet).
-     * @param state  the shard served (borrowed); an empty state
-     *               answers every query with no hits.
+     * @param state  the table served (borrowed; shared with every
+     *               other worker serving the same slice).
      */
     ShardWorker(std::string name, const ShardState &state);
     ShardWorker(std::string name, ShardState &&state) = delete;

@@ -81,7 +81,6 @@ SocketTransport::spawnChild()
     const char *argv[] = {
         cfg_.binary.c_str(), "--fd",    fd_arg.c_str(),
         "--name",            name().c_str(),
-        "--state",           shardKindName(cfg_.kind),
         "--stem",            cfg_.stem.c_str(),
         nullptr,
     };
@@ -133,6 +132,25 @@ SocketTransport::interrupt()
     // Unblock a round-trip parked in read()/write() on either side.
     if (fd_ >= 0)
         ::shutdown(fd_, SHUT_RDWR);
+}
+
+void
+SocketTransport::awaitReady()
+{
+    if (fd_ < 0)
+        throw TransportError("worker '" + name() + "' has no channel",
+                             -1, 0);
+    WireFrame frame;
+    if (!readFrame(fd_, frame))
+        throw TransportError("worker '" + name() +
+                                 "' closed the channel before it was "
+                                 "ready",
+                             fd_, 0);
+    if (frame.header.type != kFrameHeartbeat || frame.header.seq != 0)
+        throw TransportError("worker '" + name() + "' sent frame type " +
+                                 std::to_string(frame.header.type) +
+                                 " before its ready signal",
+                             fd_, 0);
 }
 
 WorkerResponse

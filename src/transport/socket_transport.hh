@@ -10,6 +10,11 @@
  * the child a real SIGKILL and shuts the socket down so any blocked
  * read unblocks immediately.
  *
+ * The child announces that its table is loaded with one heartbeat
+ * frame (seq 0) before it reads a request; until the serving thread
+ * has read it (awaitReady), the replica is not ready() and requests
+ * wait in the inbox.
+ *
  * Failure semantics are the seam contract made physical: a broken
  * channel — the child died, a read stalled out and was shut down, a
  * frame failed validation — throws TransportError out of call(),
@@ -33,7 +38,6 @@
 
 #include <string>
 
-#include "io/table_io.hh"
 #include "transport/transport.hh"
 
 namespace exma {
@@ -42,8 +46,7 @@ namespace exma {
 struct SocketTransportConfig
 {
     std::string binary; ///< resolved exma-worker executable path
-    std::string stem;   ///< shard file stem ("" for an empty shard)
-    ShardKind kind = ShardKind::Empty; ///< what the child loads at stem
+    std::string stem;   ///< table file stem the child loads
 };
 
 /**
@@ -80,6 +83,8 @@ class SocketTransport final : public Transport
     WorkerResponse call(const WorkerRequest &req) override;
     /** SIGKILL the child (if spawned) and shut the socket down. */
     void interrupt() override;
+    /** Read the child's ready frame: its table is loaded. */
+    void awaitReady() override;
 
   private:
     void spawnChild();

@@ -132,6 +132,20 @@ Transport::resolveDown(Pending &p)
 void
 Transport::run()
 {
+    try {
+        awaitReady();
+    } catch (const TransportError &e) {
+        bool stopping = false;
+        {
+            MutexLock lock(mtx_);
+            stopping = stop_;
+        }
+        if (!stopping)
+            exma_warn("worker '%s': %s", name_.c_str(), e.what());
+        kill();
+        return;
+    }
+    ready_.store(true, std::memory_order_release);
     for (;;) {
         Pending p;
         {

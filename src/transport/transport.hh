@@ -23,7 +23,7 @@
  * routing-code fork.
  *
  * The liveness surface (inboxDepth / heartbeat / processed / isDead /
- * kill) is part of the seam because the failover tier is built on
+ * ready / kill) is part of the seam because the failover tier is built on
  * it: power-of-two-choices reads inboxDepth, the supervisor reads
  * heartbeat, and kill() is the one idempotent crash switch every
  * layer (supervisor, router reap path, tests) may pull.
@@ -77,9 +77,9 @@ struct WorkerResponse
     WorkerStatus status = WorkerStatus::Ok;
     std::string error; ///< diagnostic for Failed / WorkerDown
     std::vector<u32> ids;
-    /** Global match positions per id, sorted ascending. Within one
-     *  shard a global position occurs at most once (segment maps
-     *  never overlap themselves), so no per-shard dedup is run. */
+    /** Match positions per id in the served table's text, sorted
+     *  ascending and duplicate-free (the router adds the slice
+     *  offset). */
     std::vector<std::vector<u64>> hits;
     /** Integrity stamp over ids+hits (responseCanary); the router
      *  recomputes it and discards mismatching responses the way it
@@ -140,6 +140,13 @@ class Transport
         return heartbeat_.load(std::memory_order_relaxed);
     }
 
+    /**
+     * Whether the replica has come up: false while a socket replica's
+     * child is still loading its table. A supervisor does not count
+     * the time before readiness as a stall.
+     */
+    bool ready() const { return ready_.load(std::memory_order_acquire); }
+
     /** Requests served to completion (Ok or Failed; monotonic). */
     u64 processed() const
     {
@@ -176,6 +183,14 @@ class Transport
      *  any thread. Must be idempotent. */
     virtual void interrupt() {}
 
+    /**
+     * Block until the replica can serve; runs on the serving thread
+     * before its first dequeue, and interrupt() cuts it short.
+     * Throwing TransportError means the replica never came up: it is
+     * put down and its queued requests resolve WorkerDown.
+     */
+    virtual void awaitReady() {}
+
     /** Tick the liveness counter (per processed chunk, from call()). */
     void beat() { heartbeat_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -198,6 +213,7 @@ class Transport
     std::atomic<u64> heartbeat_{0};
     std::atomic<u64> inbox_depth_{0};
     std::atomic<bool> dead_{false};
+    std::atomic<bool> ready_{false};
     CancelToken cancel_;
 
     Mutex mtx_;

@@ -1,34 +1,9 @@
 #include "transport/worker_core.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 
 namespace exma {
-namespace {
-
-void
-scanQuery(const ShardState &st, const std::vector<Base> &query,
-          std::vector<u64> &hits)
-{
-    // Tiny shards are not worth an ExmaTable: scan each segment
-    // directly. A match must fit inside one segment, which the
-    // per-segment search range enforces by construction; segments
-    // ascend in both coordinate spaces, so hits come out sorted.
-    for (const TextSegment &seg : st.segments) {
-        if (seg.length < query.size())
-            continue;
-        const auto begin = st.scan.begin() +
-                           static_cast<std::ptrdiff_t>(seg.local_begin);
-        const auto end = begin + static_cast<std::ptrdiff_t>(seg.length);
-        for (auto it = std::search(begin, end, query.begin(), query.end());
-             it != end;
-             it = std::search(it + 1, end, query.begin(), query.end()))
-            hits.push_back(seg.global_begin + static_cast<u64>(it - begin));
-    }
-}
-
-} // namespace
 
 WorkerResponse
 serveShardRequest(const ShardState &st, const WorkerRequest &req,
@@ -38,36 +13,21 @@ serveShardRequest(const ShardState &st, const WorkerRequest &req,
     WorkerResponse out;
     try {
         out.ids = req.batch.ids();
-        if (st.table) {
-            BatchConfig cfg = req.cfg;
-            cfg.threads = 1; // the worker thread IS the execution lane
-            cfg.locate = true;
-            cfg.per_query_stats = false;
-            // Caps are the router's job, applied after the cross-shard
-            // merge; a per-shard cap would keep a shard-dependent
-            // subset.
-            cfg.locate_limit = 0;
-            // Chunk-granular liveness: the supervisor reads this to
-            // tell "slow batch" from "hung worker".
-            cfg.progress = progress;
-            BatchResult br = BatchSearcher(*st.table, cfg)
-                                 .search(req.batch.storage(),
-                                         req.batch.storageIds());
-            out.hits = std::move(br.positions);
-            out.stats = br.stats;
-        } else {
-            out.hits.resize(req.batch.size());
-            if (st.kind() == ShardKind::Scan) {
-                for (size_t j = 0; j < req.batch.size(); ++j) {
-                    scanQuery(st, req.batch.query(j), out.hits[j]);
-                    if (progress)
-                        progress();
-                }
-            }
-            // Empty shard: its prefix range has no occurrences, so no
-            // query routed here can match — every response is
-            // hitless.
-        }
+        BatchConfig cfg = req.cfg;
+        cfg.threads = 1; // the worker thread IS the execution lane
+        cfg.locate = true;
+        cfg.per_query_stats = false;
+        // Caps are the router's job, applied after the cross-shard
+        // merge; a per-shard cap would keep a shard-dependent subset.
+        cfg.locate_limit = 0;
+        // Chunk-granular liveness: the supervisor reads this to tell
+        // "slow batch" from "hung worker".
+        cfg.progress = progress;
+        BatchResult br = BatchSearcher(*st.table, cfg)
+                             .search(req.batch.storage(),
+                                     req.batch.storageIds());
+        out.hits = std::move(br.positions);
+        out.stats = br.stats;
     } catch (const std::exception &e) {
         out = WorkerResponse{};
         out.status = WorkerStatus::Failed;

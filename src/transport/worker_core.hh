@@ -5,10 +5,8 @@
  * binary run the *same* code on a request — which is what makes the
  * socket path differentially testable against the inbox path.
  *
- * The state served is a ShardState (io/table_io.hh): a segment-mapped
- * ExmaTable, or an extracted scan text plus its segment map (shards
- * too small to index), or neither (an empty shard, which answers
- * every query with no hits).
+ * The state served is a ShardState (io/table_io.hh): one ExmaTable
+ * over one reference slice. Hits are positions in that slice.
  */
 
 #ifndef EXMA_TRANSPORT_WORKER_CORE_HH
@@ -22,9 +20,9 @@
 namespace exma {
 
 /**
- * Serve @p req against @p st: search (or scan) every query in the
- * batch and return a response ready to send: global hit positions
- * index-aligned with the request ids, canary stamped. A compute
+ * Serve @p req against @p st: search and locate every query in the
+ * batch and return a response ready to send: slice-local hit
+ * positions index-aligned with the request ids, canary stamped. A compute
  * exception comes back as a Failed response carrying its message and
  * the ids. @p progress ticks per processed chunk — both sides turn it
  * into heartbeats so a supervisor can tell a slow batch from a hung

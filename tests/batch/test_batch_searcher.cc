@@ -262,68 +262,17 @@ TEST(BatchSearcher, SubsetSearchEmptyIds)
     EXPECT_EQ(r.stats, SearchStats{});
 }
 
-TEST(BatchSearcher, SegmentedTableLocatesGlobalPositions)
-{
-    // A two-segment sub-reference: BatchSearcher's locate path must
-    // report translated global coordinates with junction artifacts
-    // dropped (ExmaTable::locateAllGlobal), not local positions.
-    const auto &ref = testRef();
-    const std::vector<TextSegment> segs = {
-        {100, 0, 400}, {5000, 400, 400}};
-    const ExmaTable seg_table(ref, segs, cfgFor(OccIndexMode::Exact));
-    ASSERT_TRUE(seg_table.segmented());
-    const ExmaTable &whole = mtlTable();
-
-    // Queries sampled inside each segment: every hit the segmented
-    // table reports must be a genuine whole-reference hit, and the
-    // planted position must be among them.
-    Rng rng(4);
-    for (int rep = 0; rep < 30; ++rep) {
-        const u64 len = 8 + rng.below(12);
-        const TextSegment &seg = segs[rep % 2];
-        const u64 pos = seg.global_begin + rng.below(seg.length - len);
-        const std::vector<Base> q(
-            ref.begin() + static_cast<std::ptrdiff_t>(pos),
-            ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
-        BatchConfig cfg;
-        cfg.locate = true;
-        const BatchResult r = BatchSearcher(seg_table, cfg).search({q});
-        auto expect = whole.locateAll(whole.search(q));
-        std::sort(expect.begin(), expect.end());
-        // Subset of the whole-reference hit set...
-        EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
-                                  r.positions[0].begin(),
-                                  r.positions[0].end()))
-            << "rep " << rep;
-        // ...containing the planted occurrence.
-        EXPECT_TRUE(std::binary_search(r.positions[0].begin(),
-                                       r.positions[0].end(), pos))
-            << "rep " << rep;
-    }
-}
-
 /**
- * Scalar oracle for one located query: every row through
- * FmIndex::locate(row). A contiguous table keeps the first @p limit
- * rows; a segmented one translates and junction-filters every row and
- * keeps the lowest @p limit positions (see BatchConfig::locate_limit).
+ * Scalar oracle for one located query: the first @p limit rows through
+ * FmIndex::locate(row), sorted (see BatchConfig::locate_limit).
  */
 std::vector<u64>
-scalarPositions(const ExmaTable &table, const Interval &iv, u64 query_len,
-                u64 limit)
+scalarPositions(const ExmaTable &table, const Interval &iv, u64 limit)
 {
     std::vector<u64> out;
-    for (u64 row = iv.low; row < iv.high; ++row) {
-        if (!table.segmented() && out.size() == limit)
-            break;
-        u64 pos = table.fmIndex().locate(row);
-        if (!table.segmented() ||
-            translateLocalMatch(table.segments(), pos, query_len, &pos))
-            out.push_back(pos);
-    }
+    for (u64 row = iv.low; row < iv.high && out.size() < limit; ++row)
+        out.push_back(table.fmIndex().locate(row));
     std::sort(out.begin(), out.end());
-    if (out.size() > limit)
-        out.resize(limit);
     return out;
 }
 
@@ -340,8 +289,7 @@ expectScalarEquivalent(const ExmaTable &table,
         const Interval iv = table.search(qs[i], &lone);
         EXPECT_EQ(r.intervals[i], iv) << "i=" << i << " grain=" << cfg.grain;
         EXPECT_EQ(r.per_query[i], lone) << "i=" << i << " grain=" << cfg.grain;
-        EXPECT_EQ(r.positions[i],
-                  scalarPositions(table, iv, qs[i].size(), limit))
+        EXPECT_EQ(r.positions[i], scalarPositions(table, iv, limit))
             << "i=" << i << " grain=" << cfg.grain
             << " limit=" << cfg.locate_limit;
     }
@@ -350,26 +298,23 @@ expectScalarEquivalent(const ExmaTable &table,
 TEST(BatchSearcher, ChunkedSearchAndLocateEqualScalarPaths)
 {
     const auto &ref = testRef();
-    const std::vector<TextSegment> segs = {
-        {100, 0, 400}, {5000, 400, 400}};
-    const ExmaTable seg_table(ref, segs, cfgFor(OccIndexMode::Exact));
-    const std::vector<Base> local = extractSegments(ref, segs);
+    // A table over one slice of the reference, as a text shard serves.
+    const std::vector<Base> slice(ref.begin() + 100, ref.begin() + 900);
+    const ExmaTable slice_table(slice, cfgFor(OccIndexMode::Exact));
 
-    // Degenerate lengths (1, k - 1, k, 2k) next to the random mix;
-    // on the segmented table, short queries across the seam.
+    // Degenerate lengths (1, k - 1, k, 2k) next to the random mix.
     auto qs = randomQueries(120, 31);
     for (size_t len : {1, 3, 4, 8})
         qs.emplace_back(ref.begin() + 1000,
                         ref.begin() + 1000 + static_cast<std::ptrdiff_t>(len));
-    std::vector<std::vector<Base>> seam_qs;
+    std::vector<std::vector<Base>> slice_qs;
     Rng rng(32);
     for (int t = 0; t < 60; ++t) {
-        const u64 len = 2 + rng.below(10);
-        const u64 pos = t % 2 ? 400 - rng.below(len) - 1
-                              : rng.below(local.size() - len);
-        seam_qs.emplace_back(
-            local.begin() + static_cast<std::ptrdiff_t>(pos),
-            local.begin() + static_cast<std::ptrdiff_t>(pos + len));
+        const u64 len = 1 + rng.below(11);
+        const u64 pos = rng.below(slice.size() - len);
+        slice_qs.emplace_back(
+            slice.begin() + static_cast<std::ptrdiff_t>(pos),
+            slice.begin() + static_cast<std::ptrdiff_t>(pos + len));
     }
 
     for (u64 grain : {1u, 5u, 16u, 1000u}) {
@@ -381,7 +326,7 @@ TEST(BatchSearcher, ChunkedSearchAndLocateEqualScalarPaths)
             cfg.locate = true;
             cfg.locate_limit = limit;
             expectScalarEquivalent(mtlTable(), qs, cfg);
-            expectScalarEquivalent(seg_table, seam_qs, cfg);
+            expectScalarEquivalent(slice_table, slice_qs, cfg);
         }
     }
 }

@@ -251,99 +251,28 @@ TEST(ExmaTable, StepKmerWithKOneEqualsExtend)
     }
 }
 
-TEST(ExmaTable, SegmentedBuildDropsJunctionArtifacts)
-{
-    // ref = AAAA CCCC TTTT GGGG; segments extract AAAA + GGGG, whose
-    // concatenation "AAAAGGGG" contains "AG" — a string that never
-    // occurs in the reference. The local search interval sees it; the
-    // global locate must not.
-    const std::vector<Base> ref = {0, 0, 0, 0, 1, 1, 1, 1,
-                                   3, 3, 3, 3, 2, 2, 2, 2};
-    const std::vector<TextSegment> segs = {{0, 0, 4}, {12, 4, 4}};
-    const ExmaTable tab(ref, segs, cfgFor(OccIndexMode::Exact));
-    ASSERT_TRUE(tab.segmented());
-    ASSERT_EQ(tab.segments(), segs);
-
-    const std::vector<Base> junction = {0, 2}; // "AG"
-    const Interval iv = tab.search(junction);
-    EXPECT_EQ(iv.count(), 1u) << "local junction match should exist";
-    EXPECT_TRUE(tab.locateAllGlobal(iv, junction.size()).empty());
-
-    // Genuine matches translate to global coordinates.
-    const std::vector<Base> aaa = {0, 0, 0}; // "AAA" at 0, 1
-    EXPECT_EQ(tab.locateAllGlobal(tab.search(aaa), aaa.size()),
-              (std::vector<u64>{0, 1}));
-    const std::vector<Base> gg = {2, 2}; // "GG" at 12, 13, 14
-    EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size()),
-              (std::vector<u64>{12, 13, 14}));
-    // The cap keeps the lowest global positions, applied after the
-    // junction filter.
-    EXPECT_EQ(tab.locateAllGlobal(tab.search(gg), gg.size(), 2),
-              (std::vector<u64>{12, 13}));
-}
-
 TEST(ExmaTable, ContiguousTableLocateAllGlobalIsSortedLocate)
 {
     ExmaTable tab(testRef(), cfgFor(OccIndexMode::Exact));
-    EXPECT_FALSE(tab.segmented());
     const auto &ref = testRef();
-    const std::vector<Base> q(ref.begin() + 500, ref.begin() + 512);
-    const Interval iv = tab.search(q);
-    auto expect = tab.locateAll(iv);
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(tab.locateAllGlobal(iv, q.size()), expect);
-}
-
-TEST(ExmaTable, BatchedLocateAllGlobalEqualsScalarLocate)
-{
-    // Oracle: every row through scalar FmIndex::locate, translated and
-    // junction-filtered, then sorted and capped.
-    const auto &ref = testRef();
-    const std::vector<TextSegment> segs = {
-        {100, 0, 400}, {5000, 400, 400}, {9000, 800, 50}};
-    const ExmaTable contiguous(ref, cfgFor(OccIndexMode::Exact));
-    const ExmaTable segmented(ref, segs, cfgFor(OccIndexMode::Exact));
-    const std::vector<Base> local = extractSegments(ref, segs);
-    for (const ExmaTable *tab : {&contiguous, &segmented}) {
-        const std::vector<Base> &text = tab->segmented() ? local : ref;
-        Rng rng(8);
-        std::vector<Interval> ivs;
-        std::vector<u64> lens;
-        for (int t = 0; t < 40; ++t) {
-            // Around the seams too, so junction artifacts turn up.
-            const u64 len = 2 + rng.below(8);
-            const u64 pos = t % 2 ? 400 - rng.below(len) - 1
-                                  : rng.below(text.size() - len);
-            ivs.push_back(tab->search(std::vector<Base>(
-                text.begin() + static_cast<std::ptrdiff_t>(pos),
-                text.begin() + static_cast<std::ptrdiff_t>(pos + len))));
-            lens.push_back(len);
-        }
-        u64 dropped = 0;
-        for (u64 limit : {~u64{0}, u64{1}, u64{2}}) {
-            std::vector<std::vector<u64>> out(ivs.size());
-            tab->locateAllGlobal(ivs, lens, limit, out);
-            for (size_t j = 0; j < ivs.size(); ++j) {
-                std::vector<u64> expect;
-                for (u64 row = ivs[j].low; row < ivs[j].high; ++row) {
-                    u64 pos = tab->fmIndex().locate(row);
-                    if (!tab->segmented() ||
-                        translateLocalMatch(segs, pos, lens[j], &pos))
-                        expect.push_back(pos);
-                    else
-                        ++dropped;
-                }
-                std::sort(expect.begin(), expect.end());
-                if (expect.size() > limit)
-                    expect.resize(limit);
-                EXPECT_EQ(out[j], expect) << "j=" << j << " limit=" << limit;
-                EXPECT_EQ(tab->locateAllGlobal(ivs[j], lens[j], limit),
-                          expect)
-                    << "j=" << j << " limit=" << limit;
-            }
-        }
-        if (tab->segmented()) {
-            EXPECT_GT(dropped, 0u) << "no junction artifact was exercised";
+    Rng rng(8);
+    for (int t = 0; t < 40; ++t) {
+        const u64 len = 2 + rng.below(10);
+        const u64 pos = rng.below(ref.size() - len);
+        const std::vector<Base> q(
+            ref.begin() + static_cast<std::ptrdiff_t>(pos),
+            ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
+        const Interval iv = tab.search(q);
+        auto expect = tab.locateAll(iv);
+        std::sort(expect.begin(), expect.end());
+        EXPECT_EQ(tab.locateAllGlobal(iv, q.size()), expect) << "t=" << t;
+        // The cap keeps the lowest positions, whatever their rows.
+        for (u64 limit : {u64{1}, u64{2}}) {
+            std::vector<u64> capped = expect;
+            if (capped.size() > limit)
+                capped.resize(limit);
+            EXPECT_EQ(tab.locateAllGlobal(iv, q.size(), limit), capped)
+                << "t=" << t << " limit=" << limit;
         }
     }
 }

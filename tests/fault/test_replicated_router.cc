@@ -122,13 +122,14 @@ expectIdenticalToMonolith(const RoutedResult &r,
     }
 }
 
-/** Shard indices serving @p q under the fixture plan (routed mode). */
-std::pair<size_t, size_t>
-ownersOf(const std::vector<Base> &q)
+/** The shard serving @p q under the fixture plan: the owner of its
+ *  padded prefix range's first code. */
+size_t
+ownerOf(const std::vector<Base> &q)
 {
     const ShardPlan &plan = fixture().plan;
     const PrefixRange r = plan.queryPrefixRange(q.data(), q.size());
-    return plan.ownersOfRange(r.lo, r.hi);
+    return plan.ownerOf(r.lo);
 }
 
 TEST(ReplicatedRouter, WorkerDeathFailsOverWithIdenticalHits)
@@ -226,9 +227,8 @@ TEST(ReplicatedRouter, CorruptResponseIsRejectedByCanaryAndRetried)
 TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
 {
     // Both replicas of one shard die on every request, forever; its
-    // queries must come back flagged degraded (partial for broadcast
-    // straddlers, empty for solely-owned ones) while every other
-    // query stays identical to the monolith.
+    // queries must come back flagged degraded (and hitless) while
+    // every other query stays identical to the monolith.
     const Fixture &fx = fixture();
     RouterConfig rcfg = replicatedCfg();
     rcfg.failover.max_retries = 2;
@@ -236,7 +236,7 @@ TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
     const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
     const auto qs = queryMix(fx.ds.ref, fx.plan.prefixLen(), 36);
 
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     FaultRule rule;
     rule.kind = FaultKind::KillWorker;
     rule.site = router.plan().shards()[target].name + "*";
@@ -251,16 +251,13 @@ TEST(ReplicatedRouter, RangeFullyDownDegradesExactlyItsQueries)
         << "only the dead range's queries may degrade";
     u64 flagged = 0;
     for (size_t i = 0; i < qs.size(); ++i) {
-        const auto [first, last] = ownersOf(qs[i]);
-        const bool expect_degraded = first <= target && target <= last;
+        const bool expect_degraded = ownerOf(qs[i]) == target;
         EXPECT_EQ(r.degraded[i] != 0, expect_degraded) << "query " << i;
         flagged += r.degraded[i];
         const auto expect = singleTableHits(fx.single, qs[i]);
         if (expect_degraded) {
-            // Partial: whatever the live owners produced, never more.
-            EXPECT_TRUE(std::includes(expect.begin(), expect.end(),
-                                      r.hits[i].begin(),
-                                      r.hits[i].end()))
+            // Its one shard never answered: no hits at all.
+            EXPECT_TRUE(r.hits[i].empty())
                 << "degraded query " << i << " invented hits";
         } else {
             EXPECT_EQ(r.hits[i], expect) << "query " << i;
@@ -290,7 +287,7 @@ TEST(ReplicatedRouter, DeadlineBoundsAnUnresponsiveRange)
     const ShardRouter router(fx.ds.ref, fx.plan, rcfg);
     const auto qs = queryMix(fx.ds.ref, fx.plan.prefixLen(), 37);
 
-    const size_t target = ownersOf(qs[0]).first;
+    const size_t target = ownerOf(qs[0]);
     FaultRule rule;
     rule.kind = FaultKind::HangRequest;
     rule.site = router.plan().shards()[target].name + "*";
@@ -307,8 +304,7 @@ TEST(ReplicatedRouter, DeadlineBoundsAnUnresponsiveRange)
     EXPECT_GE(r.failover.deadline_misses, 1u);
     EXPECT_GT(r.degraded_queries, 0u);
     for (size_t i = 0; i < qs.size(); ++i) {
-        const auto [first, last] = ownersOf(qs[i]);
-        if (first <= target && target <= last)
+        if (ownerOf(qs[i]) == target)
             EXPECT_EQ(r.degraded[i], 1) << "query " << i;
         else
             EXPECT_EQ(r.hits[i], singleTableHits(fx.single, qs[i]))

@@ -407,6 +407,11 @@ TEST(IndexRoundTripTest, RoutedDirectory)
     ASSERT_NE(loaded.router, nullptr);
     ASSERT_EQ(loaded.router->shardCount(), built.shardCount());
 
+    // Every prefix shard serves one monolith: one table file set.
+    EXPECT_TRUE(fs::exists(io_detail::shardStem(dir, 0) + kExtOcc));
+    EXPECT_FALSE(fs::exists(io_detail::shardStem(dir, 1) + kExtOcc));
+    EXPECT_EQ(loaded.router->storedBases(), testRef().size());
+
     const auto queries = refQueries(40, 32);
     const RoutedResult rb = built.search(queries);
     const RoutedResult rl = loaded.router->search(queries);
@@ -417,54 +422,59 @@ TEST(IndexRoundTripTest, RoutedDirectory)
         EXPECT_FALSE(h.empty());
 }
 
-TEST(IndexRoundTripTest, RoutedWithScanShards)
+TEST(IndexRoundTripTest, RoutedTableLoadHonoursTheLoadFaultSite)
 {
-    // Force every shard under min_table_bases so the saved index
-    // exercises the scan-shard (.pac-only) path end to end.
-    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 3, 48);
+    // Probe 1 is the manifest, probe 2 the first table's .pac: routed
+    // table loads honour the "io.load" fault site.
+    const ShardPlan plan =
+        ShardPlan::fixedWidth(testRef().size(), 3, 64);
     RouterConfig cfg;
     cfg.table = cfgFor(OccIndexMode::Exact);
-    cfg.min_table_bases = ~u64{0};
     const ShardRouter built(testRef(), plan, cfg);
-    const std::string dir = tempDir("idx_scan");
-    saveIndex(built, dir);
-    const LoadedIndex loaded = loadIndex(dir);
-    ASSERT_NE(loaded.router, nullptr);
-
-    const auto queries = refQueries(20, 32);
-    EXPECT_EQ(built.search(queries).hits,
-              loaded.router->search(queries).hits);
-}
-
-TEST(IndexRoundTripTest, ScanShardLoadHonoursTheLoadFaultSite)
-{
-    // A routed index of scan shards only. Probe 1 is the manifest,
-    // probe 2 the first shard's .pac: scan shards must honour the
-    // "io.load" fault site like table shards do.
-    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 3, 48);
-    RouterConfig cfg;
-    cfg.table = cfgFor(OccIndexMode::Exact);
-    cfg.min_table_bases = ~u64{0};
-    const ShardRouter built(testRef(), plan, cfg);
-    size_t first = 0;
-    while (built.shard(first).kind() == ShardKind::Empty)
-        ++first;
-    ASSERT_EQ(built.shard(first).kind(), ShardKind::Scan);
-    const std::string dir = tempDir("idx_scan_fault");
+    const std::string dir = tempDir("idx_load_fault");
     saveIndex(built, dir);
 
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("throw@io.load:nth=2")));
-    const std::string pac = io_detail::shardStem(dir, first) + kExtPac;
+    const std::string pac = io_detail::shardStem(dir, 0) + kExtPac;
     try {
         loadIndex(dir);
-        ADD_FAILURE() << "injected scan-shard load fault did not throw";
+        ADD_FAILURE() << "injected table load fault did not throw";
     } catch (const LoadError &e) {
         EXPECT_NE(std::string(e.what()).find(pac), std::string::npos)
             << "LoadError must name " << pac << ": " << e.what();
     }
     // The rule fired once: the next load succeeds.
     EXPECT_NE(loadIndex(dir).router, nullptr);
+}
+
+TEST(IndexRoundTripTest, Version1FilesFailClosedAskingForRebuild)
+{
+    // Version 1 carried segment maps and per-shard state words that
+    // this format no longer has: a version-1 manifest and a version-1
+    // table file must each be refused with a rebuild-me LoadError.
+    const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 2, 64);
+    RouterConfig cfg;
+    cfg.table = cfgFor(OccIndexMode::Exact);
+    const ShardRouter built(testRef(), plan, cfg);
+    ASSERT_EQ(kFormatVersion, 2u);
+    for (const std::string file :
+         {std::string(kManifestName), std::string("shard0000") + kExtOcc}) {
+        const std::string dir = tempDir("idx_v1");
+        saveIndex(built, dir);
+        ASSERT_NO_THROW(loadIndex(dir));
+        patchByte(dir + "/" + file, 8, 1); // header.version
+        try {
+            loadIndex(dir);
+            ADD_FAILURE() << file << " at version 1 loaded";
+        } catch (const LoadError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(file), std::string::npos) << what;
+            EXPECT_NE(what.find("format version 1"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(IndexRoundTripTest, RetiredAndUnknownKindsFailClosed)

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -169,12 +170,24 @@ struct OracleCase
     TransportKind transport;
 };
 
+const char *
+transportName(TransportKind kind)
+{
+    return kind == TransportKind::Socket ? "socket" : "inproc";
+}
+
+/** Stable parameter text in the test names (no struct padding bytes). */
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    *os << refKindName(c.ref) << "/" << transportName(c.transport);
+}
+
 std::string
 caseName(const testing::TestParamInfo<OracleCase> &info)
 {
-    std::string name = refKindName(info.param.ref);
-    name += info.param.transport == TransportKind::Socket ? "_socket"
-                                                          : "_inproc";
+    std::string name = std::string(refKindName(info.param.ref)) + "_" +
+                       transportName(info.param.transport);
     std::replace(name.begin(), name.end(), '-', '_');
     return name;
 }

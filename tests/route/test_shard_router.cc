@@ -77,7 +77,7 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
         const auto cfg = tableCfg(ds.exma_k);
         const ExmaTable single(ds.ref, cfg);
 
-        for (unsigned n_shards : {2u, 4u, 8u}) {
+        for (unsigned n_shards : {1u, 2u, 4u, 8u}) {
             const auto plan = ShardPlan::kmerPrefix(ds.ref, n_shards,
                                                     kMaxQueryLen);
             RouterConfig rcfg;
@@ -91,10 +91,17 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
             bc.grain = 3;
             const RoutedResult r = router.search(qs, bc);
             ASSERT_EQ(r.hits.size(), qs.size());
-            EXPECT_EQ(r.routed_queries + r.broadcast_queries, qs.size());
-            EXPECT_GT(r.routed_queries, 0u);
+            // Every query, short ones included, runs on one shard.
+            EXPECT_EQ(r.routed_queries, qs.size());
+            EXPECT_EQ(r.broadcast_queries, 0u);
 
+            // Each query searched once on the shared monolith: the
+            // routed stats are the monolith's per-query stats summed.
+            SearchStats expect_stats;
             for (size_t i = 0; i < qs.size(); ++i) {
+                SearchStats qstats;
+                single.search(qs[i], &qstats);
+                expect_stats += qstats;
                 const auto expect = singleTableHits(single, qs[i]);
                 EXPECT_EQ(r.hits[i], expect)
                     << name << " shards=" << n_shards << " query " << i;
@@ -102,11 +109,13 @@ TEST(ShardRouter, RoutedHitSetMatchesMonolithOnAllDatasets)
                                                r.hits[i].end()) ==
                             r.hits[i].end());
             }
+            EXPECT_EQ(r.stats, expect_stats)
+                << name << " shards=" << n_shards;
         }
     }
 }
 
-TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryBroadcasts)
+TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryRoutesToLowOwner)
 {
     const Dataset ds = makeDataset("human", 0.001);
     const auto cfg = tableCfg(ds.exma_k);
@@ -140,10 +149,15 @@ TEST(ShardRouter, ShortQueryStraddlingPartitionBoundaryBroadcasts)
     const auto owners = plan.ownersOfRange(r.lo, r.hi);
     ASSERT_LT(owners.first, owners.second) << "range does not straddle";
 
+    // The owner of the range's first code serves it alone: it holds
+    // the whole monolith, so no match is missed and none needs dedup.
     const RoutedResult res = router.search({straddler});
-    EXPECT_EQ(res.broadcast_queries, 1u);
-    EXPECT_EQ(res.routed_queries, 0u);
+    EXPECT_EQ(res.routed_queries, 1u);
+    EXPECT_EQ(res.broadcast_queries, 0u);
     EXPECT_EQ(res.hits[0], singleTableHits(single, straddler));
+    for (size_t s = 0; s < res.per_shard.size(); ++s)
+        EXPECT_EQ(res.per_shard[s] != SearchStats{}, s == owners.first)
+            << "shard " << s;
 }
 
 TEST(ShardRouter, BoundaryPrefixQueryRoutesToOwner)
@@ -187,11 +201,6 @@ TEST(ShardRouter, EmptyPrefixRangesServeHitless)
     const ShardRouter router(ref, plan, rcfg);
     const ExmaTable single(ref, tableCfg(3));
 
-    size_t empty_workers = 0;
-    for (size_t s = 0; s < router.shardCount(); ++s)
-        empty_workers += router.shard(s).kind() == ShardKind::Empty;
-    EXPECT_GE(empty_workers, 2u);
-
     const std::vector<std::vector<Base>> qs = {
         {0, 0, 0, 0},    // AAAA -> the one populated shard
         {1, 2},          // CG   -> an unpopulated range
@@ -205,6 +214,12 @@ TEST(ShardRouter, EmptyPrefixRangesServeHitless)
     EXPECT_EQ(r.hits[0].size(), 256u - 3u);
     EXPECT_TRUE(r.hits[1].empty());
     EXPECT_TRUE(r.hits[2].empty());
+    // Queries 1 and 2 ran on shards whose ranges own no position.
+    for (size_t i : {1u, 2u}) {
+        const PrefixRange pr = plan.queryPrefixRange(qs[i].data(),
+                                                     qs[i].size());
+        EXPECT_NE(plan.ownerOf(pr.lo), plan.ownerOf(0)) << "query " << i;
+    }
 }
 
 TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
@@ -214,15 +229,10 @@ TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
     const ExmaTable single(ds.ref, cfg);
     const auto plan = ShardPlan::kmerPrefix(ds.ref, 1, kMaxQueryLen);
     ASSERT_EQ(plan.size(), 1u);
-    // One shard owns every code; its segment map is the whole
-    // reference in one slice, so the table is the monolith.
-    ASSERT_EQ(plan.segmentsOf(0).size(), 1u);
-    EXPECT_EQ(plan.segmentsOf(0)[0].length, ds.ref.size());
-
     RouterConfig rcfg;
     rcfg.table = cfg;
     const ShardRouter router(ds.ref, plan, rcfg);
-    EXPECT_EQ(router.totalLocalBases(), ds.ref.size());
+    EXPECT_EQ(router.storedBases(), ds.ref.size());
 
     const auto qs = queryMix(ds.ref, plan.prefixLen(), 13);
     const RoutedResult r = router.search(qs);
@@ -239,59 +249,23 @@ TEST(ShardRouter, SingleShardDegeneratePlanEqualsMonolith)
     EXPECT_EQ(r.stats, expect);
 }
 
-TEST(ShardRouter, TinyShardsFallBackToScanWorkers)
+TEST(ShardRouter, PrefixShardsShareOneMonolith)
 {
-    // Many shards over a small reference with short context windows
-    // leave some shards under min_table_bases; those are served by
-    // segment scanning and must stay hit-identical to the monolith.
-    Rng rng(99);
-    std::vector<Base> ref(400);
-    for (auto &b : ref)
-        b = static_cast<Base>(rng.below(4));
-    const u64 max_q = 4;
-    const auto plan = ShardPlan::kmerPrefix(ref, 32, max_q, 4);
-    RouterConfig rcfg;
-    rcfg.table = tableCfg(2);
-    const ShardRouter router(ref, plan, rcfg);
-    const ExmaTable single(ref, tableCfg(2));
-
-    size_t scan_workers = 0;
-    for (size_t s = 0; s < router.shardCount(); ++s)
-        scan_workers += router.shard(s).kind() == ShardKind::Scan;
-    EXPECT_GT(scan_workers, 0u)
-        << "fixture no longer produces sub-threshold shards";
-
-    std::vector<std::vector<Base>> qs;
-    for (u64 i = 0; i + max_q <= ref.size(); i += 3)
-        qs.emplace_back(ref.begin() + static_cast<std::ptrdiff_t>(i),
-                        ref.begin() + static_cast<std::ptrdiff_t>(i + max_q));
-    for (u64 len = 1; len <= 3; ++len)
-        qs.emplace_back(ref.begin(),
-                        ref.begin() + static_cast<std::ptrdiff_t>(len));
-    const RoutedResult r = router.search(qs);
-    for (size_t i = 0; i < qs.size(); ++i)
-        EXPECT_EQ(r.hits[i], singleTableHits(single, qs[i]))
-            << "query " << i;
-}
-
-TEST(ShardRouter, ForceBroadcastMatchesRoutedHitSet)
-{
+    // However many prefix shards, the router builds and stores one
+    // table over the whole reference, and every shard serves it.
     const Dataset ds = makeDataset("human", 0.001);
-    const auto cfg = tableCfg(ds.exma_k);
-    const auto plan = ShardPlan::kmerPrefix(ds.ref, 4, kMaxQueryLen);
-    RouterConfig routed_cfg, bcast_cfg;
-    routed_cfg.table = cfg;
-    bcast_cfg.table = cfg;
-    bcast_cfg.force_broadcast = true;
-    const ShardRouter routed(ds.ref, plan, routed_cfg);
-    const ShardRouter bcast(ds.ref, plan, bcast_cfg);
-
-    const auto qs = queryMix(ds.ref, plan.prefixLen(), 42);
-    const RoutedResult a = routed.search(qs);
-    const RoutedResult b = bcast.search(qs);
-    EXPECT_EQ(b.broadcast_queries, qs.size());
-    for (size_t i = 0; i < qs.size(); ++i)
-        EXPECT_EQ(a.hits[i], b.hits[i]) << "query " << i;
+    RouterConfig rcfg;
+    rcfg.table = tableCfg(ds.exma_k);
+    for (unsigned n_shards : {1u, 2u, 4u, 8u}) {
+        const auto plan =
+            ShardPlan::kmerPrefix(ds.ref, n_shards, kMaxQueryLen);
+        const ShardRouter router(ds.ref, plan, rcfg);
+        EXPECT_EQ(router.storedBases(), ds.ref.size());
+        EXPECT_EQ(router.totalRows(), ds.ref.size() + 1);
+        for (size_t s = 0; s < router.shardCount(); ++s)
+            EXPECT_EQ(router.shardTable(s), router.shardTable(0))
+                << "shards=" << n_shards << " shard " << s;
+    }
 }
 
 TEST(ShardRouter, TextPlanServesBroadcastThroughWorkers)

@@ -22,8 +22,23 @@
 namespace exma {
 namespace {
 
-/** An empty shard: every request is served hitless. */
-const ShardState kEmptyShard{};
+/** A small table to serve: 64 bases of ACGT. */
+const ShardState &
+smallShard()
+{
+    static const ShardState state = [] {
+        std::vector<Base> text(64);
+        for (size_t i = 0; i < text.size(); ++i)
+            text[i] = static_cast<Base>(i % 4);
+        ExmaTable::Config cfg;
+        cfg.k = 2;
+        cfg.mode = OccIndexMode::Exact;
+        ShardState st;
+        st.table = std::make_unique<ExmaTable>(text, cfg);
+        return st;
+    }();
+    return state;
+}
 
 const std::vector<std::vector<Base>> &
 batch()
@@ -65,7 +80,7 @@ TEST(WorkerRobustness, DestructionWithPendingInboxYieldsWorkerDown)
         FaultInjector::parseSpec("delay@w:ms=60000")));
     std::vector<std::future<WorkerResponse>> futs;
     {
-        ShardWorker worker("w", kEmptyShard);
+        ShardWorker worker("w", smallShard());
         for (int i = 0; i < 3; ++i)
             futs.push_back(worker.submit(requestFor(batch())));
         // Destructor runs with one request mid-sleep and two queued.
@@ -83,7 +98,7 @@ TEST(WorkerRobustness, ProcessThrowSurfacesAsFailedWithMessage)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("throw@w:nth=1")));
-    ShardWorker worker("w", kEmptyShard);
+    ShardWorker worker("w", smallShard());
 
     auto failing = worker.submit(requestFor(batch()));
     const WorkerResponse failed = resolved(failing);
@@ -105,7 +120,7 @@ TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@w:ms=60000")));
-    ShardWorker worker("w", kEmptyShard);
+    ShardWorker worker("w", smallShard());
     auto in_flight = worker.submit(requestFor(batch()));
     auto queued = worker.submit(requestFor(batch()));
 
@@ -124,7 +139,7 @@ TEST(WorkerRobustness, KillFailsQueuedAndRefusesNewSubmissions)
 
 TEST(WorkerRobustness, ServedRequestsAdvanceHeartbeatAndDrainDepth)
 {
-    ShardWorker worker("w", kEmptyShard);
+    ShardWorker worker("w", smallShard());
     EXPECT_EQ(worker.heartbeat(), 0u);
     auto fut = worker.submit(requestFor(batch()));
     const WorkerResponse r = resolved(fut);
@@ -139,7 +154,7 @@ TEST(WorkerRobustness, CanaryDetectsCorruptedResponse)
 {
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("corrupt@w:nth=1")));
-    ShardWorker worker("w", kEmptyShard);
+    ShardWorker worker("w", smallShard());
     auto fut = worker.submit(requestFor(batch()));
     const WorkerResponse r = resolved(fut);
     EXPECT_EQ(r.status, WorkerStatus::Ok)
@@ -166,7 +181,7 @@ TEST(WorkerRobustness, ConcurrentSubmitAndKillResolveEveryFuture)
         bool after_kill;
     };
 
-    ShardWorker worker("w", kEmptyShard);
+    ShardWorker worker("w", smallShard());
     std::atomic<int> submitted{0};
     std::atomic<bool> killed{false};
     std::mutex subs_mtx;

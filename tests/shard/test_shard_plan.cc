@@ -170,9 +170,8 @@ TEST(ShardPlan, PerRecordFoldsLoneLeadingTinyRecordForward)
 
 TEST(ShardPlan, TextPlansMapEachShardToOneSlice)
 {
-    // Text plans serve each shard as one whole-shard segment; the map
-    // must exist on a fresh plan and on a restored one (restore
-    // derives it; the serialized form carries none).
+    // Every text shard serves a table of its own over its own slice,
+    // on a fresh plan and on a restored one.
     const std::vector<RecordSpan> spans = {
         {"chr1", 0, 4000}, {"chr2", 4000, 2500}, {"chr3", 6500, 1000}};
     for (const ShardPlan &built : {ShardPlan::fixedWidth(10000, 4, 101),
@@ -180,16 +179,12 @@ TEST(ShardPlan, TextPlansMapEachShardToOneSlice)
         const ShardPlan restored = ShardPlan::restore(
             built.shards(), built.kind(), built.refLength(),
             built.overlap(), built.maxQueryLen(), built.prefixLen(),
-            built.prefixRanges(), {});
+            built.prefixRanges());
         for (const ShardPlan *plan : {&built, &restored}) {
-            ASSERT_EQ(plan->size(), built.size());
-            for (size_t s = 0; s < plan->size(); ++s) {
-                const Shard &sh = plan->shards()[s];
-                ASSERT_EQ(plan->segmentsOf(s).size(), 1u) << sh.name;
-                EXPECT_EQ(plan->segmentsOf(s)[0],
-                          (TextSegment{sh.begin, 0, sh.length}))
-                    << sh.name;
-            }
+            ASSERT_EQ(plan->shards(), built.shards());
+            ASSERT_EQ(plan->tableCount(), built.size());
+            for (size_t s = 0; s < plan->size(); ++s)
+                EXPECT_EQ(plan->tableOf(s), s) << plan->shards()[s].name;
         }
     }
 }
@@ -221,30 +216,25 @@ TEST(ShardPlan, KmerPrefixRangesPartitionCodeSpace)
     }
 }
 
-TEST(ShardPlan, KmerPrefixSegmentsCoverEveryOwnedWindow)
+TEST(ShardPlan, KmerPrefixShardsShareOneWholeReferenceTable)
 {
+    // Prefix shards partition the code space, not the text: every
+    // shard's slice is the whole reference, so they share table 0 —
+    // on a fresh plan and on a restored one.
     const auto ref = randomRef(1500, 23);
-    const u64 max_q = 9;
-    const auto plan = ShardPlan::kmerPrefix(ref, 4, max_q, 3);
-
-    for (size_t s = 0; s < plan.size(); ++s) {
-        if (!plan.segmentsOf(s).empty())
-            validateSegments(plan.segmentsOf(s), ref.size());
-        EXPECT_EQ(plan.shards()[s].length,
-                  segmentsLocalLength(plan.segmentsOf(s)));
-    }
-
-    // Routing invariant: every position's full context window lies
-    // inside one segment of its owner's map, so any match starting
-    // there (length <= max_q) is findable in the owner shard.
-    for (u64 g = 0; g < ref.size(); ++g) {
-        const size_t s = plan.ownerOf(paddedCode(ref, g, 3));
-        const u64 wend = std::min<u64>(ref.size(), g + max_q);
-        bool covered = false;
-        for (const TextSegment &seg : plan.segmentsOf(s))
-            covered |= seg.global_begin <= g && wend <= seg.global_end();
-        ASSERT_TRUE(covered)
-            << "window [" << g << ", " << wend << ") escapes shard " << s;
+    const ShardPlan built = ShardPlan::kmerPrefix(ref, 4, 9, 3);
+    const ShardPlan restored = ShardPlan::restore(
+        built.shards(), built.kind(), built.refLength(), built.overlap(),
+        built.maxQueryLen(), built.prefixLen(), built.prefixRanges());
+    for (const ShardPlan *plan : {&built, &restored}) {
+        ASSERT_EQ(plan->size(), 4u);
+        EXPECT_EQ(plan->tableCount(), 1u);
+        EXPECT_EQ(plan->prefixRanges(), built.prefixRanges());
+        for (size_t s = 0; s < plan->size(); ++s) {
+            EXPECT_EQ(plan->tableOf(s), 0u);
+            EXPECT_EQ(plan->shards()[s].begin, 0u);
+            EXPECT_EQ(plan->shards()[s].length, ref.size());
+        }
     }
 }
 
@@ -288,17 +278,17 @@ TEST(ShardPlan, KmerPrefixAutoPrefixScalesWithShardCount)
 
 TEST(ShardPlan, KmerPrefixSkewedReferenceLeavesEmptyRanges)
 {
-    // All-A reference: one shard owns everything, the rest own code
-    // ranges with no occurrences — legal, with empty segment maps.
+    // All-A reference: one shard owns every position, the rest own
+    // code ranges with no occurrences — legal, and every shard still
+    // serves the whole reference.
     const std::vector<Base> ref(300, 0);
     const auto plan = ShardPlan::kmerPrefix(ref, 4, 8, 2);
     ASSERT_EQ(plan.size(), 4u);
-    EXPECT_EQ(plan.segmentsOf(0).size(), 1u);
-    EXPECT_EQ(plan.segmentsOf(0)[0].length, 300u);
-    for (size_t s = 1; s < plan.size(); ++s) {
-        EXPECT_TRUE(plan.segmentsOf(s).empty()) << "shard " << s;
-        EXPECT_EQ(plan.shards()[s].length, 0u);
-    }
+    for (u64 g = 0; g < ref.size(); ++g)
+        EXPECT_EQ(plan.ownerOf(paddedCode(ref, g, 2)), 0u) << "pos " << g;
+    for (size_t s = 0; s < plan.size(); ++s)
+        EXPECT_EQ(plan.shards()[s], (Shard{"prefix" + std::to_string(s),
+                                           0, 300}));
     // ownerOf still resolves every code despite the empty ranges.
     for (Kmer c = 0; c < kmerSpace(2); ++c)
         EXPECT_TRUE(plan.prefixRanges()[plan.ownerOf(c)].contains(c));

@@ -1,9 +1,8 @@
-// SocketTransport against real exma-worker child processes: a scan
-// shard served over the wire must answer bit-identically to the
-// in-process ShardWorker over the same shard state, and the PR-8
-// fault kinds — now real signals and broken channels — must surface
-// through the exact same typed-Response contract the failover tier
-// already speaks.
+// SocketTransport against real exma-worker child processes: a table
+// served over the wire must answer bit-identically to the in-process
+// ShardWorker over the same shard state, and the worker fault kinds —
+// now real signals and broken channels — must surface through the
+// exact same typed-Response contract the failover tier already speaks.
 
 #include <gtest/gtest.h>
 
@@ -26,23 +25,27 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** A persisted scan shard (text + segment map) in an owned temp dir. */
-struct ScanFixture
+/** A small persisted table (and its text) in an owned temp dir. */
+struct TableFixture
 {
+    std::vector<Base> text;
     ShardState state;
     fs::path dir;
     std::string stem;
 
-    ScanFixture()
+    TableFixture()
     {
         u64 seed = 7;
-        state.scan.resize(512);
-        for (auto &b : state.scan) {
+        text.resize(512);
+        for (auto &b : text) {
             seed = seed * 6364136223846793005ULL +
                    1442695040888963407ULL;
             b = static_cast<Base>(seed >> 62);
         }
-        state.segments = {{100, 0, 300}, {500, 300, 212}};
+        ExmaTable::Config cfg;
+        cfg.k = 4;
+        cfg.mode = OccIndexMode::Exact;
+        state.table = std::make_unique<ExmaTable>(text, cfg);
 
         static int instance = 0;
         dir = fs::temp_directory_path() /
@@ -50,10 +53,10 @@ struct ScanFixture
                std::to_string(instance++));
         fs::create_directories(dir);
         stem = (dir / "shard0000").string();
-        saveShardFiles(state, stem);
+        saveTableFiles(*state.table, stem);
     }
 
-    ~ScanFixture()
+    ~TableFixture()
     {
         std::error_code ec;
         fs::remove_all(dir, ec);
@@ -63,12 +66,11 @@ struct ScanFixture
     std::vector<std::vector<Base>> queries() const
     {
         std::vector<std::vector<Base>> qs;
-        qs.emplace_back(state.scan.begin() + 10, state.scan.begin() + 18);
-        qs.emplace_back(state.scan.begin() + 300,
-                        state.scan.begin() + 309);
+        qs.emplace_back(text.begin() + 10, text.begin() + 18);
+        qs.emplace_back(text.begin() + 300, text.begin() + 309);
         // 16 of the same base in a row is absent from LCG output at
         // this length with this seed; even if it were not, both
-        // transports scan the same text, so the differential holds.
+        // transports search the same table, so the differential holds.
         qs.emplace_back(std::vector<Base>(16, 2));
         return qs;
     }
@@ -95,18 +97,17 @@ resolved(std::future<WorkerResponse> &fut)
 }
 
 std::shared_ptr<SocketTransport>
-spawnScanWorker(const std::string &name, const ScanFixture &fx)
+spawnWorker(const std::string &name, const TableFixture &fx)
 {
     SocketTransportConfig cfg;
     cfg.binary = discoverWorkerBinary("");
     cfg.stem = fx.stem;
-    cfg.kind = ShardKind::Scan;
     return std::make_shared<SocketTransport>(name, cfg);
 }
 
-TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
+TEST(SocketTransport, TableShardMatchesInProcessWorkerBitForBit)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries();
 
     ShardWorker oracle("oracle", fx.state);
@@ -115,7 +116,7 @@ TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
     ASSERT_EQ(expect.status, WorkerStatus::Ok);
     ASSERT_FALSE(expect.hits[0].empty()) << "fixture query must hit";
 
-    auto sock = spawnScanWorker("s", fx);
+    auto sock = spawnWorker("s", fx);
     auto fut = sock->submit(requestFor(queries));
     const WorkerResponse got = resolved(fut);
 
@@ -131,33 +132,13 @@ TEST(SocketTransport, ScanShardMatchesInProcessWorkerBitForBit)
     EXPECT_FALSE(sock->isDead());
 }
 
-TEST(SocketTransport, EmptyShardServesHitlessRows)
-{
-    const ScanFixture fx;
-    const auto queries = fx.queries();
-
-    SocketTransportConfig cfg;
-    cfg.binary = discoverWorkerBinary("");
-    cfg.kind = ShardKind::Empty; // no stem: nothing to load
-    SocketTransport sock("e", cfg);
-
-    auto fut = sock.submit(requestFor(queries));
-    const WorkerResponse r = resolved(fut);
-    ASSERT_EQ(r.status, WorkerStatus::Ok);
-    EXPECT_EQ(r.ids.size(), queries.size());
-    ASSERT_EQ(r.hits.size(), queries.size());
-    for (const auto &row : r.hits)
-        EXPECT_TRUE(row.empty());
-    EXPECT_EQ(responseCanary(r), r.canary);
-}
-
 TEST(SocketTransport, KillFaultIsARealSignalAndResolvesWorkerDown)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("kill@s:nth=1")));
-    auto sock = spawnScanWorker("s", fx);
+    auto sock = spawnWorker("s", fx);
 
     auto fut = sock->submit(requestFor(queries));
     const WorkerResponse r = resolved(fut);
@@ -174,11 +155,11 @@ TEST(SocketTransport, KillFaultIsARealSignalAndResolvesWorkerDown)
 
 TEST(SocketTransport, KillFailsQueuedAndRefusesNewSubmissions)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@s:ms=60000")));
-    auto sock = spawnScanWorker("s", fx);
+    auto sock = spawnWorker("s", fx);
     auto in_flight = sock->submit(requestFor(queries));
     auto queued = sock->submit(requestFor(queries));
 
@@ -197,11 +178,11 @@ TEST(SocketTransport, KillFailsQueuedAndRefusesNewSubmissions)
 
 TEST(SocketTransport, ThrowFaultMatchesTheInProcessContract)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("throw@s:nth=1")));
-    auto sock = spawnScanWorker("s", fx);
+    auto sock = spawnWorker("s", fx);
 
     // Same message, same semantics as the in-process worker: the
     // fault models compute throwing, not the channel — the child
@@ -224,11 +205,11 @@ TEST(SocketTransport, ThrowFaultMatchesTheInProcessContract)
 
 TEST(SocketTransport, CorruptResponseIsCaughtByCanaryRecompute)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("corrupt@s:nth=1")));
-    auto sock = spawnScanWorker("s", fx);
+    auto sock = spawnWorker("s", fx);
 
     auto fut = sock->submit(requestFor(queries));
     const WorkerResponse r = resolved(fut);
@@ -240,12 +221,11 @@ TEST(SocketTransport, CorruptResponseIsCaughtByCanaryRecompute)
 
 TEST(SocketTransport, MissingBinaryResolvesWorkerDownGracefully)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     SocketTransportConfig cfg;
     cfg.binary = "/nonexistent/exma-worker";
     cfg.stem = fx.stem;
-    cfg.kind = ShardKind::Scan;
     SocketTransport sock("b", cfg);
 
     // A replica that cannot come up is the same signal as one that
@@ -257,13 +237,13 @@ TEST(SocketTransport, MissingBinaryResolvesWorkerDownGracefully)
 
 TEST(SocketTransport, DestructionWithPendingInboxYieldsWorkerDown)
 {
-    const ScanFixture fx;
+    const TableFixture fx;
     const auto queries = fx.queries(); // outlives the borrowed views
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@s:ms=60000")));
     std::vector<std::future<WorkerResponse>> futs;
     {
-        auto sock = spawnScanWorker("s", fx);
+        auto sock = spawnWorker("s", fx);
         for (int i = 0; i < 3; ++i)
             futs.push_back(sock->submit(requestFor(queries)));
         // Destructor runs with one request mid-sleep and two queued.

@@ -1,7 +1,7 @@
 /**
  * @file
- * The out-of-process shard worker: mmap-loads one shard's persisted
- * files and serves wire.hh frames on an inherited socket fd until the
+ * The out-of-process shard worker: mmap-loads one persisted table
+ * and serves wire.hh frames on an inherited socket fd until the
  * router closes the stream. One process per replica — the paper's
  * per-channel parallelism with real OS-level isolation: a crash here
  * is a closed socket and a WorkerDown at the router, never a
@@ -9,11 +9,13 @@
  *
  * Spawned by SocketTransport as
  *
- *   exma-worker --fd 3 --name <shard>/r<i> --state table|scan|empty
- *               [--stem <dir>/shardNNNN]
+ *   exma-worker --fd 3 --name <shard>/r<i> --stem <dir>/shardNNNN
  *
- * The shard is loaded by loadShardFiles (io/table_io.hh), the same
- * ShardState load a persisted routed index uses. Request compute is
+ * The table is loaded by loadTableFiles (io/table_io.hh), the same
+ * load a persisted routed index uses; every worker of every shard
+ * serving the same slice maps the same files, so the page cache holds
+ * one copy. Once loaded, the worker sends one heartbeat frame (seq 0)
+ * as its ready signal before it reads a request. Request compute is
  * transport/worker_core.cc — the same code the in-process ShardWorker
  * runs, which is what makes socket serving
  * differentially testable against the inbox path; it answers compute
@@ -26,7 +28,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <optional>
 #include <string>
 
 #include "io/table_io.hh"
@@ -41,8 +42,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s --fd N --name NAME --state table|scan|empty "
-                 "[--stem STEM]\n",
+                 "usage: %s --fd N --name NAME --stem STEM\n",
                  argv0);
     return 2;
 }
@@ -92,7 +92,6 @@ main(int argc, char **argv)
 {
     int fd = 3;
     std::string name = "exma-worker";
-    std::optional<ShardKind> kind;
     std::string stem;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -102,14 +101,12 @@ main(int argc, char **argv)
             fd = std::atoi(argv[++i]);
         else if (arg == "--name")
             name = argv[++i];
-        else if (arg == "--state")
-            kind = parseShardKind(argv[++i]);
         else if (arg == "--stem")
             stem = argv[++i];
         else
             return usage(argv[0]);
     }
-    if (!kind || (*kind != ShardKind::Empty && stem.empty()))
+    if (stem.empty())
         return usage(argv[0]);
 
     ignoreSigpipe();
@@ -117,8 +114,8 @@ main(int argc, char **argv)
     try {
         // Alive for the whole serving loop: the table's hot arrays
         // live inside its mmaps.
-        const ShardState st = loadShardFiles(*kind, stem);
-        validateShardState(name, st);
+        const ShardState st = loadTableFiles(stem);
+        writeFrame(fd, kFrameHeartbeat, 0, {}); // ready
         return serveLoop(fd, st);
     } catch (const TransportError &e) {
         // Channel breakage mid-stream: the router already sees the
