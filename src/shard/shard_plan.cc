@@ -26,14 +26,25 @@ ShardPlan::fixedWidth(u64 ref_len, unsigned n_shards, u64 max_query_len)
     plan.max_query_len_ = max_query_len;
     plan.overlap_ = max_query_len - 1;
 
+    // Every shard gets a table of its own, so none may be shorter than
+    // kMinShardBases unless it is the whole reference: cap the count
+    // so the stride reaches it, and fold a short tail into its
+    // predecessor.
+    n_shards = static_cast<unsigned>(std::min<u64>(
+        n_shards, std::max<u64>(1, ref_len / kMinShardBases)));
     const u64 stride = (ref_len + n_shards - 1) / n_shards; // ceil
     for (unsigned i = 0; i < n_shards; ++i) {
         const u64 begin = stride * i;
         if (begin >= ref_len)
-            break; // reference too small for the requested shard count
+            break; // ceil rounding ran past the reference
         const u64 end = std::min(ref_len, begin + stride + plan.overlap_);
         plan.shards_.push_back(
             {"shard" + std::to_string(i), begin, end - begin});
+    }
+    if (plan.shards_.size() >= 2 &&
+        plan.shards_.back().length < kMinShardBases) {
+        plan.shards_.pop_back();
+        plan.shards_.back().length = ref_len - plan.shards_.back().begin;
     }
     return plan;
 }

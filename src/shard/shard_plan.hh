@@ -89,8 +89,9 @@ class ShardPlan
     /**
      * Partition [0, ref_len) into @p n_shards equal-stride shards with
      * an overlap of @p max_query_len - 1 bases between neighbours.
-     * Shards that would start past the end of a small reference are
-     * dropped, so the resulting plan may hold fewer than @p n_shards.
+     * No shard is shorter than kMinShardBases unless it spans the
+     * whole reference, so a small reference gets fewer than
+     * @p n_shards.
      */
     static ShardPlan fixedWidth(u64 ref_len, unsigned n_shards,
                                 u64 max_query_len);

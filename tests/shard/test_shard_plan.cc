@@ -84,11 +84,25 @@ TEST(ShardPlan, SingleShardIsWholeReference)
 
 TEST(ShardPlan, TinyReferenceDropsExcessShards)
 {
-    // 100 bases across 64 requested shards: stride 2, all 50 usable.
-    const auto plan = ShardPlan::fixedWidth(100, 64, 8);
-    EXPECT_LE(plan.size(), 64u);
-    EXPECT_GT(plan.size(), 0u);
-    EXPECT_EQ(plan.shards().back().end(), 100u);
+    // Every shard gets a table, so none is shorter than kMinShardBases
+    // unless it is the whole reference: 100 bases across 64 requested
+    // shards is one shard, and a 641-base reference holds at most 10
+    // with the short ceil-rounded tail folded into its predecessor.
+    const auto tiny = ShardPlan::fixedWidth(100, 64, 8);
+    ASSERT_EQ(tiny.size(), 1u);
+    EXPECT_EQ(tiny.shards()[0], (Shard{"shard0", 0, 100}));
+    const auto plan = ShardPlan::fixedWidth(641, 64, 8);
+    EXPECT_GT(plan.size(), 1u);
+    EXPECT_LE(plan.size(), 10u);
+    EXPECT_EQ(plan.shards().back().end(), 641u);
+    for (const Shard &sh : plan.shards())
+        EXPECT_GE(sh.length, ShardPlan::kMinShardBases) << sh.name;
+    for (u64 p = 0; p + 8 <= 641; ++p) {
+        bool contained = false;
+        for (const Shard &sh : plan.shards())
+            contained |= sh.begin <= p && p + 8 <= sh.end();
+        ASSERT_TRUE(contained) << "match at " << p << " escapes";
+    }
 }
 
 TEST(ShardPlan, FixedWidthRejectsOverlongQueryBound)
