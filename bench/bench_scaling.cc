@@ -351,7 +351,8 @@ main(int argc, char **argv)
     bench::note("mbases_per_s_multiproc", multiproc_peak);
     bench::printTable(mt, "multi-process sweep");
     std::cout << "\n(Each shard's replica is a separate exma-worker "
-                 "process mmap-loading its persisted shard files; "
+                 "process; all of them mmap the one persisted table "
+                 "file set; "
                  "queries travel as 2-bit-packed, canary-stamped "
                  "frames over Unix sockets. `ratio` is multi-process "
                  "over in-process routed throughput at the same shard "

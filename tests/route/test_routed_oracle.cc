@@ -9,13 +9,11 @@
 // routing prefix (the ones whose padded code range can straddle a
 // partition boundary) and repeats within one batch.
 //
-// The seed of every case is printed on failure; EXMA_ORACLE_SEED
-// replaces the base seed to explore further.
+// The seed of every case is printed on failure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -28,6 +26,7 @@ namespace {
 
 constexpr u64 kRefLen = 640;
 constexpr u64 kMaxQueryLen = 12;
+constexpr u64 kBaseSeed = 20211;
 
 enum class RefKind
 {
@@ -50,13 +49,6 @@ refKindName(RefKind kind)
     return "?";
 }
 
-u64
-baseSeed()
-{
-    const char *env = std::getenv("EXMA_ORACLE_SEED");
-    return env != nullptr && *env != '\0' ? std::strtoull(env, nullptr, 10)
-                                          : 20211;
-}
 
 std::vector<Base>
 makeRef(RefKind kind, u64 seed)
@@ -199,7 +191,7 @@ class RoutedOracle : public testing::TestWithParam<OracleCase>
 TEST_P(RoutedOracle, HitsEqualNaiveScan)
 {
     const OracleCase c = GetParam();
-    const u64 seed = baseSeed() + static_cast<u64>(c.ref) * 1000;
+    const u64 seed = kBaseSeed + static_cast<u64>(c.ref) * 1000;
     const std::vector<Base> ref = makeRef(c.ref, seed);
     const auto qs = makeQueries(ref, seed + 1);
 
