@@ -1,13 +1,16 @@
 /**
  * @file
  * google-benchmark microkernels for the software layers: suffix-array
- * construction, FM-Index search, k-step/EXMA search, LISA search, and
- * the CHAIN/B∆I codecs. Complements the figure harnesses with
- * wall-clock numbers for the library itself.
+ * construction, FM-Index search, k-step/EXMA search (scalar, and
+ * batched over a sweep of chunk sizes), LISA search, and the CHAIN/B∆I
+ * codecs. Complements the figure harnesses with wall-clock numbers for
+ * the library itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "bench_gbench_main.hh"
@@ -82,6 +85,55 @@ BM_ExmaSearch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 101);
 }
 BENCHMARK(BM_ExmaSearch);
+
+/**
+ * The batched count over 101-bp reads, one chunk of state.range(0)
+ * reads per ExmaTable::search call — the grain sweep for
+ * BatchConfig::grain. The human dataset at scale 1.0 (8 Mbp, k = 11,
+ * the serving benchmark's MTL operating point) outgrows L2.
+ */
+void
+BM_ExmaBatchedSearch(benchmark::State &state)
+{
+    static const Dataset ds = makeDataset("human", 1.0);
+    static const ExmaTable table = [] {
+        ExmaTable::Config cfg;
+        cfg.k = ds.exma_k;
+        cfg.mode = OccIndexMode::Mtl;
+        cfg.mtl.leaf_size = 512;
+        cfg.mtl.min_increments = 256;
+        cfg.mtl.epochs = 120;
+        cfg.mtl.samples_per_class = 4096;
+        return ExmaTable(ds.ref, cfg);
+    }();
+    static const std::vector<std::vector<Base>> reads =
+        samplePatterns(ds.ref, 4096, 101, 13);
+    const size_t chunk = static_cast<size_t>(state.range(0));
+    std::vector<const std::vector<Base> *> ptrs;
+    for (const auto &r : reads)
+        ptrs.push_back(&r);
+    std::vector<Interval> ivs(chunk);
+    std::vector<SearchStats> stats(chunk);
+    for (auto _ : state) {
+        for (size_t b = 0; b < ptrs.size(); b += chunk) {
+            const size_t m = std::min(chunk, ptrs.size() - b);
+            table.search(std::span(ptrs).subspan(b, m),
+                         std::span(ivs).first(m),
+                         std::span(stats).first(m));
+        }
+        benchmark::DoNotOptimize(ivs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(reads.size() * 101));
+}
+BENCHMARK(BM_ExmaBatchedSearch)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_LisaSearch(benchmark::State &state)

@@ -32,8 +32,14 @@ struct BatchConfig
     /**
      * Queries per dynamically claimed chunk. The chunk is also the
      * unit of interleaving: its queries are counted, then located, as
-     * one batch (ExmaTable::search and FmIndex::locate over spans), so
-     * a larger grain keeps more memory accesses in flight.
+     * one batch (ExmaTable::search and FmIndex::locate over spans).
+     * The count prefetches every k-step's base-pointer line up front,
+     * runs the k-steps in rounds across the chunk (each round
+     * prefetching the increments two steps ahead), and prefetches a
+     * query's rank blocks as it leaves the k-steps; a larger grain
+     * keeps more of these accesses in flight. 16 is kept from a sweep
+     * of 1/8/16/32/64 (bench_micro_kernels' BM_ExmaBatchedSearch):
+     * 8 to 64 were within the spread of each other.
      */
     u64 grain = 16;
     /**

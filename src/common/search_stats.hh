@@ -20,7 +20,13 @@ struct SearchStats
     u64 kstep_iterations = 0;   ///< k-symbol Occ-pair iterations
     u64 onestep_iterations = 0; ///< remainder 1-symbol iterations
     u64 total_error = 0;        ///< summed index misprediction distance
-    u64 total_probes = 0;       ///< summed local-search probes
+    /**
+     * Summed local-search probes. For an unmodelled list this is the
+     * binary-search charge probeCount(f) per lookup, not the
+     * comparisons executed: the batched search's linear count over a
+     * short list is charged the same.
+     */
+    u64 total_probes = 0;
     u64 model_lookups = 0;      ///< Occ lookups resolved by a model
 
     SearchStats &

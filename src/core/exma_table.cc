@@ -133,26 +133,91 @@ ExmaTable::search(std::span<const std::vector<Base> *const> queries,
                 queries.size(), intervals.size(), stats.size());
     const size_t kk = static_cast<size_t>(k());
     // (query, bases still to prepend) for every query whose interval
-    // is non-empty when its k-steps are done but has a remainder.
+    // is non-empty when its k-steps are done but has a remainder; its
+    // first rank blocks are requested as it joins.
     std::vector<std::pair<size_t, size_t>> live;
     live.reserve(queries.size());
-    for (size_t j = 0; j < queries.size(); ++j) {
-        const std::vector<Base> &q = *queries[j];
-        Interval iv = fm_->fullInterval();
-        size_t i = q.size();
-        const size_t rem = q.size() % kk;
-        while (!iv.empty() && i >= rem + kk) {
-            i -= kk;
-            iv = stepKmer(iv, packKmer(q.data() + i, kk), &stats[j]);
-        }
+    const auto leaveKSteps = [&](size_t j) {
+        Interval &iv = intervals[j];
+        const size_t rem = queries[j]->size() % kk;
         if (iv.empty()) {
             iv.high = iv.low;
-        } else if (i > 0) {
+        } else if (rem > 0) {
             fm_->prefetch(iv);
-            live.emplace_back(j, i);
+            live.emplace_back(j, rem);
         }
-        intervals[j] = iv;
+    };
+    // Query j's k-steps use codes[first[j] .. first[j + 1]), in step
+    // order; every base-pointer line they read is requested now. The
+    // queries with k-steps to run are the lanes.
+    std::vector<Kmer> codes;
+    std::vector<size_t> first(queries.size() + 1);
+    std::vector<size_t> lanes;
+    lanes.reserve(queries.size());
+    for (size_t j = 0; j < queries.size(); ++j) {
+        const std::vector<Base> &q = *queries[j];
+        first[j] = codes.size();
+        for (size_t i = q.size(); i >= q.size() % kk + kk;) {
+            i -= kk;
+            codes.push_back(packKmer(q.data() + i, kk));
+            occ_->prefetchBase(codes.back());
+        }
+        intervals[j] = fm_->fullInterval();
+        if (codes.size() > first[j])
+            lanes.push_back(j);
+        else
+            leaveKSteps(j);
     }
+    first.back() = codes.size();
+
+    // The k-steps, one round across all live queries at a time: round
+    // r resolves step r of each, after requesting the increments of
+    // its step r + 2. Short unmodelled lists are counted linearly —
+    // the same ranks and probe charge as stepKmer(), without a chain
+    // of dependent probes.
+    u64 linear_max = kShortList;
+    if (mtl_)
+        linear_max = std::min(linear_max, mtl_->config().min_increments);
+    else if (naive_)
+        linear_max = std::min(linear_max, cfg_.naive.min_increments);
+    for (size_t ahead = 0; ahead < 2; ++ahead)
+        for (const size_t j : lanes)
+            if (first[j] + ahead < first[j + 1])
+                occ_->prefetchIncrements(codes[first[j] + ahead]);
+    for (size_t r = 0; !lanes.empty(); ++r) {
+        size_t kept = 0;
+        for (size_t l = 0; l < lanes.size(); ++l) {
+            const size_t j = lanes[l];
+            const size_t s = first[j] + r;
+            if (s + 2 < first[j + 1])
+                occ_->prefetchIncrements(codes[s + 2]);
+            const Kmer code = codes[s];
+            const std::span<const u32> inc = occ_->increments(code);
+            Interval &iv = intervals[j];
+            if (inc.size() <= linear_max) {
+                const u32 lo_key = static_cast<u32>(iv.low);
+                const u32 hi_key = static_cast<u32>(iv.high);
+                u64 lo = 0;
+                u64 hi = 0;
+                for (const u32 row : inc) {
+                    lo += row < lo_key;
+                    hi += row < hi_key;
+                }
+                const u64 c = occ_->countBefore(code);
+                iv = Interval{c + lo, c + hi};
+                ++stats[j].kstep_iterations;
+                stats[j].total_probes += 2 * probeCount(inc.size());
+            } else {
+                iv = stepKmer(iv, code, &stats[j]);
+            }
+            if (!iv.empty() && s + 1 < first[j + 1])
+                lanes[kept++] = j;
+            else
+                leaveKSteps(j);
+        }
+        lanes.resize(kept);
+    }
+
     // The 1-step remainders, one round across all live queries at a
     // time: each round's rank blocks were prefetched by the previous.
     while (!live.empty()) {

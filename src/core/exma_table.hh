@@ -109,12 +109,26 @@ class ExmaTable
                     SearchStats *stats = nullptr) const;
 
     /**
+     * Longest increments list the batched search counts linearly
+     * (when no model covers it) instead of binary-searching.
+     */
+    static constexpr u64 kShortList = 32;
+
+    /**
      * Batched search: intervals[j] becomes search(*queries[j]), and
-     * stats[j] accumulates that search's counters. Each query runs its
-     * k-steps as search() does; then the 1-step remainders of all
-     * still-live queries advance one round at a time, each round
-     * prefetching the next round's rank blocks, so the queries' Occ
-     * misses overlap.
+     * stats[j] accumulates that search's counters, bit for bit. Every
+     * k-mer code a query's k-steps use is known from its text, so all
+     * their base-pointer lines are requested up front. The k-steps
+     * then advance one round at a time across the still-live queries;
+     * each round requests the increments of the step two rounds ahead
+     * before resolving the current one. An unmodelled list of at most
+     * kShortList entries resolves both Occ ends in one branchless
+     * linear count (charged the probes of the binary search it
+     * replaces); other lists go through stepKmer(). A query that
+     * leaves the k-steps with a live interval and a remainder requests
+     * its rank blocks right then; the 1-step remainders of all such
+     * queries then advance in rounds too, each round prefetching the
+     * next round's rank blocks, so the queries' Occ misses overlap.
      */
     void search(std::span<const std::vector<Base> *const> queries,
                 std::span<Interval> intervals,

@@ -103,6 +103,37 @@ class KmerOccTable
                 rows_.data() + bases_[code + 1]};
     }
 
+    /** Start fetching the base-pointer line(s) increments(@p code) reads. */
+    void
+    prefetchBase(Kmer code) const
+    {
+#if defined(__GNUC__) || defined(__clang__)
+        __builtin_prefetch(bases_.data() + code);
+        __builtin_prefetch(bases_.data() + code + 1);
+#endif
+    }
+
+    /**
+     * Start fetching the first, middle and last entry of @p code's
+     * increments: the ends a linear count or a binary search touches
+     * and a binary search's first probe. On a list of at most 32
+     * entries the three are at most 64 bytes apart, so they cover
+     * every line. Reads the base pointers: prefetchBase() should have
+     * run well before.
+     */
+    void
+    prefetchIncrements(Kmer code) const
+    {
+#if defined(__GNUC__) || defined(__clang__)
+        const u32 b = bases_[code];
+        const u32 e = bases_[code + 1];
+        const u32 *inc = rows_.data();
+        __builtin_prefetch(inc + b);
+        __builtin_prefetch(inc + b + (e - b) / 2);
+        __builtin_prefetch(inc + (e > b ? e - 1 : b));
+#endif
+    }
+
     /** Offset of the first increment of @p code — the EXMA `base`. */
     u64 baseOf(Kmer code) const { return bases_[code]; }
 

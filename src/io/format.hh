@@ -263,8 +263,10 @@ class BlobWriter
     void
     putRaw(const void *p, size_t n)
     {
-        const auto *b = static_cast<const u8 *>(p);
-        buf_.insert(buf_.end(), b, b + n);
+        const size_t at = buf_.size();
+        buf_.resize(at + n);
+        if (n != 0)
+            std::memcpy(buf_.data() + at, p, n);
     }
 
     std::vector<u8> buf_;

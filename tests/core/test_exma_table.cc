@@ -96,64 +96,97 @@ TEST_P(ExmaModeTest, SearchEqualsFmIndexAcrossModes)
 
 TEST_P(ExmaModeTest, BatchedSearchEqualsScalarSearch)
 {
-    ExmaTable tab(testRef(), cfgFor(GetParam()));
-    const size_t kk = static_cast<size_t>(tab.k());
-    const auto &ref = testRef();
-    Rng rng(3);
-    const auto substr = [&](u64 len) {
-        const u64 pos = rng.below(ref.size() - len);
-        return std::vector<Base>(
-            ref.begin() + static_cast<std::ptrdiff_t>(pos),
-            ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    };
-    // Empty, length 1, shorter than k, multiples of k, with a
-    // remainder; present, random (empty during the k-steps) and
-    // present k-steps behind a changed remainder (empty during the
-    // 1-step rounds).
-    std::vector<std::vector<Base>> qs = {{}, {2}};
-    for (size_t len : {kk - 1, kk, 2 * kk, 2 * kk + 1, 4 * kk + 3, size_t{40}})
-        qs.push_back(substr(len));
-    for (int t = 0; t < 60; ++t) {
-        std::vector<Base> q = substr(1 + rng.below(40));
-        if (t % 3 == 1) {
-            for (auto &b : q)
-                b = static_cast<Base>(rng.below(4));
-        } else if (t % 3 == 2 && q.size() % kk != 0) {
-            q[0] = static_cast<Base>((q[0] + 1 + rng.below(3)) % 4);
+    // k = 4 walks long lists (~256 entries on average); k = 8 walks
+    // mostly short ones, and with a modelling threshold of 16 the
+    // learned modes also model lists the linear count could take.
+    u64 short_lists = 0;
+    u64 long_lists = 0;
+    u64 modelled_lists = 0;
+    for (const int k : {4, 8}) {
+        ExmaTable::Config cfg = cfgFor(GetParam(), k);
+        if (k == 8)
+            cfg.mtl.min_increments = cfg.naive.min_increments = 16;
+        const ExmaTable tab(testRef(), cfg);
+        const size_t kk = static_cast<size_t>(tab.k());
+        const auto &ref = testRef();
+        Rng rng(3);
+        const auto substr = [&](u64 len) {
+            const u64 pos = rng.below(ref.size() - len);
+            return std::vector<Base>(
+                ref.begin() + static_cast<std::ptrdiff_t>(pos),
+                ref.begin() + static_cast<std::ptrdiff_t>(pos + len));
+        };
+        // Empty, length 1, shorter than k, multiples of k, with a
+        // remainder; present, random (empty during the k-steps) and
+        // present k-steps behind a changed remainder (empty during the
+        // 1-step rounds).
+        std::vector<std::vector<Base>> qs = {{}, {2}};
+        for (size_t len :
+             {kk - 1, kk, 2 * kk, 2 * kk + 1, 4 * kk + 3, size_t{40}})
+            qs.push_back(substr(len));
+        for (int t = 0; t < 60; ++t) {
+            std::vector<Base> q = substr(1 + rng.below(40));
+            if (t % 3 == 1) {
+                for (auto &b : q)
+                    b = static_cast<Base>(rng.below(4));
+            } else if (t % 3 == 2 && q.size() % kk != 0) {
+                q[0] = static_cast<Base>((q[0] + 1 + rng.below(3)) % 4);
+            }
+            qs.push_back(std::move(q));
         }
-        qs.push_back(std::move(q));
-    }
 
-    std::vector<Interval> expect;
-    std::vector<SearchStats> expect_stats(qs.size());
-    int kstep_empty = 0;
-    int onestep_empty = 0;
-    for (size_t j = 0; j < qs.size(); ++j) {
-        expect.push_back(tab.search(qs[j], &expect_stats[j]));
-        if (expect.back().empty()) {
-            kstep_empty += expect_stats[j].onestep_iterations == 0;
-            onestep_empty += expect_stats[j].onestep_iterations > 0;
-        }
-    }
-    ASSERT_GT(kstep_empty, 0);
-    ASSERT_GT(onestep_empty, 0);
-
-    for (size_t chunk : {size_t{1}, size_t{16}, qs.size()}) {
-        for (size_t begin = 0; begin < qs.size(); begin += chunk) {
-            const size_t m = std::min(chunk, qs.size() - begin);
-            std::vector<const std::vector<Base> *> ptrs;
-            for (size_t j = begin; j < begin + m; ++j)
-                ptrs.push_back(&qs[j]);
-            std::vector<Interval> ivs(m);
-            std::vector<SearchStats> stats(m);
-            tab.search(ptrs, ivs, stats);
-            for (size_t j = 0; j < m; ++j) {
-                EXPECT_EQ(ivs[j], expect[begin + j])
-                    << "chunk=" << chunk << " j=" << begin + j;
-                EXPECT_EQ(stats[j], expect_stats[begin + j])
-                    << "chunk=" << chunk << " j=" << begin + j;
+        std::vector<Interval> expect;
+        std::vector<SearchStats> expect_stats(qs.size());
+        int kstep_empty = 0;
+        int onestep_empty = 0;
+        for (size_t j = 0; j < qs.size(); ++j) {
+            expect.push_back(tab.search(qs[j], &expect_stats[j]));
+            if (expect.back().empty()) {
+                kstep_empty += expect_stats[j].onestep_iterations == 0;
+                onestep_empty += expect_stats[j].onestep_iterations > 0;
+            }
+            // The lists this query's k-steps read, by how the batched
+            // search resolves them.
+            size_t i = qs[j].size();
+            for (u64 s = 0; s < expect_stats[j].kstep_iterations; ++s) {
+                i -= kk;
+                const Kmer code = packKmer(qs[j].data() + i, tab.k());
+                if ((tab.mtlIndex() && tab.mtlIndex()->hasModel(code)) ||
+                    (tab.naiveIndex() && tab.naiveIndex()->hasModel(code)))
+                    ++modelled_lists;
+                else if (tab.frequency(code) <= ExmaTable::kShortList)
+                    ++short_lists;
+                else
+                    ++long_lists;
             }
         }
+        ASSERT_GT(kstep_empty, 0) << "k=" << k;
+        ASSERT_GT(onestep_empty, 0) << "k=" << k;
+
+        for (size_t chunk : {size_t{1}, size_t{16}, qs.size()}) {
+            for (size_t begin = 0; begin < qs.size(); begin += chunk) {
+                const size_t m = std::min(chunk, qs.size() - begin);
+                std::vector<const std::vector<Base> *> ptrs;
+                for (size_t j = begin; j < begin + m; ++j)
+                    ptrs.push_back(&qs[j]);
+                std::vector<Interval> ivs(m);
+                std::vector<SearchStats> stats(m);
+                tab.search(ptrs, ivs, stats);
+                for (size_t j = 0; j < m; ++j) {
+                    EXPECT_EQ(ivs[j], expect[begin + j])
+                        << "k=" << k << " chunk=" << chunk
+                        << " j=" << begin + j;
+                    EXPECT_EQ(stats[j], expect_stats[begin + j])
+                        << "k=" << k << " chunk=" << chunk
+                        << " j=" << begin + j;
+                }
+            }
+        }
+    }
+    ASSERT_GT(short_lists, 0u);
+    ASSERT_GT(long_lists, 0u);
+    if (GetParam() != OccIndexMode::Exact) {
+        ASSERT_GT(modelled_lists, 0u);
     }
 }
 

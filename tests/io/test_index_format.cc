@@ -458,7 +458,7 @@ TEST(IndexRoundTripTest, Version1FilesFailClosedAskingForRebuild)
     cfg.table = cfgFor(OccIndexMode::Exact);
     const ShardRouter built(testRef(), plan, cfg);
     ASSERT_EQ(kFormatVersion, 2u);
-    for (const std::string file :
+    for (const std::string &file :
          {std::string(kManifestName), std::string("shard0000") + kExtOcc}) {
         const std::string dir = tempDir("idx_v1");
         saveIndex(built, dir);
