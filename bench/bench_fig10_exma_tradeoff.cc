@@ -16,16 +16,25 @@ using namespace exma;
 
 namespace {
 
-/** Mean Occ misprediction of a table, measured over random searches. */
+/**
+ * Mean Occ misprediction of @p lookup (IndexLookup(Kmer, u64)) over
+ * the k-steps of random searches. Search intervals are exact whatever
+ * the index, so the table's trace gives every index the same steps.
+ */
+template <typename Lookup>
 double
-measuredError(const ExmaTable &table, const Dataset &ds)
+measuredError(const ExmaTable &table, const Dataset &ds, Lookup lookup)
 {
-    auto pats = bench::patterns(ds, 200);
-    SearchStats stats;
-    for (const auto &p : pats)
-        table.search(p, &stats);
-    const u64 lookups = 2 * stats.kstep_iterations;
-    return lookups ? static_cast<double>(stats.total_error) /
+    u64 error = 0;
+    u64 lookups = 0;
+    for (const auto &p : bench::patterns(ds, 200)) {
+        for (const auto &it : table.traceSearch(p)) {
+            error += lookup(it.kmer, it.pos_low).error +
+                     lookup(it.kmer, it.pos_high).error;
+            lookups += 2;
+        }
+    }
+    return lookups ? static_cast<double>(error) /
                          static_cast<double>(lookups)
                    : 0.0;
 }
@@ -65,11 +74,16 @@ main(int argc, char **argv)
             3000000000.0 / static_cast<double>(ds.ref.size());
         const double lisa_err = lm.mean_error * scale_up;
 
-        const ExmaTable &naive =
-            bench::exmaTable("human", OccIndexMode::NaiveLearned);
+        const NaiveKmerIndex &naive = bench::naiveIndex("human");
         const ExmaTable &mtl = bench::exmaTable("human", OccIndexMode::Mtl);
-        const double naive_err = measuredError(naive, ds) * scale_up;
-        const double mtl_err = measuredError(mtl, ds) * scale_up;
+        const double naive_err =
+            measuredError(mtl, ds,
+                          [&](Kmer m, u64 pos) { return naive.occ(m, pos); }) *
+            scale_up;
+        const double mtl_err =
+            measuredError(mtl, ds,
+                          [&](Kmer m, u64 pos) { return mtl.occ(m, pos); }) *
+            scale_up;
 
         auto exma_fp = [&](int k) {
             return exmaSizeBytes(3000000000ULL, k).total() / 1e9;
@@ -100,7 +114,7 @@ main(int argc, char **argv)
                      "(MTL) beats LISA-21 by 75% with half the "
                      "parameters.\n";
         std::cout << "index parameters: naive="
-                  << naive.indexParamCount()
+                  << naive.paramCount()
                   << " mtl=" << mtl.indexParamCount() << " lisa="
                   << lm.param_count << "\n";
     }

@@ -19,8 +19,8 @@ main(int argc, char **argv)
     bench::banner("Fig. 12", "per-increment-class population and search "
                              "time (naive learned index)");
     const Dataset &ds = bench::dataset("human");
-    const ExmaTable &table =
-        bench::exmaTable("human", OccIndexMode::NaiveLearned);
+    const ExmaTable &table = bench::exmaTable("human", OccIndexMode::Mtl);
+    const NaiveKmerIndex &naive = bench::naiveIndex("human");
     const KmerOccTable &occ = table.occTable();
 
     // (a) population per class.
@@ -31,8 +31,10 @@ main(int argc, char **argv)
         ++total_kmers;
     }
 
-    // (b) search-time share per class, using correction probes as the
-    // time proxy (each probe is one memory touch).
+    // (b) search-time share per class, using the naive index's
+    // correction probes as the time proxy (each probe is one memory
+    // touch). Search intervals are exact whatever the index, so the
+    // Mtl table's trace visits the steps a naive-indexed search would.
     double class_time[MtlIndex::kNumClasses] = {};
     double total_time = 0.0;
     auto pats = bench::patterns(ds, 400);
@@ -40,8 +42,9 @@ main(int argc, char **argv)
         auto trace = table.traceSearch(p);
         for (const auto &it : trace) {
             const int cls = MtlIndex::classOf(occ.frequency(it.kmer));
-            const double cost =
-                static_cast<double>(2 + it.low.probes + it.high.probes);
+            const double cost = static_cast<double>(
+                2 + naive.occ(it.kmer, it.pos_low).probes +
+                naive.occ(it.kmer, it.pos_high).probes);
             class_time[cls] += cost;
             total_time += cost;
         }

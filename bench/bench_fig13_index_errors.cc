@@ -18,11 +18,9 @@ main(int argc, char **argv)
 {
     bench::init(argc, argv);
     bench::banner("Fig. 13", "naive vs MTL index prediction errors");
-    const Dataset &ds = bench::dataset("human");
-    const ExmaTable &naive =
-        bench::exmaTable("human", OccIndexMode::NaiveLearned);
     const ExmaTable &mtl = bench::exmaTable("human", OccIndexMode::Mtl);
-    const KmerOccTable &occ = naive.occTable();
+    const NaiveKmerIndex &naive = bench::naiveIndex("human");
+    const KmerOccTable &occ = mtl.occTable();
 
     // Find the two heaviest populated classes with models.
     const u64 threshold = std::max<u64>(
@@ -70,12 +68,11 @@ main(int argc, char **argv)
     }
     bench::printTable(t);
 
-    std::cout << "\nindex parameters: naive=" << naive.indexParamCount()
+    std::cout << "\nindex parameters: naive=" << naive.paramCount()
               << "  MTL=" << mtl.indexParamCount() << "\n";
     std::cout << "paper (3 Gbp): naive means 917 / 2133 vs MTL means "
                  "45 / 182 for the 64K-256K and >1M classes — MTL cuts "
                  "errors by an order of magnitude with fewer "
                  "parameters.\n";
-    (void)ds;
     return 0;
 }

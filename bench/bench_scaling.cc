@@ -463,7 +463,7 @@ main(int argc, char **argv)
     if (!std::filesystem::exists(std::filesystem::path(index_dir) /
                                  kManifestName)) {
         const auto t0 = std::chrono::steady_clock::now();
-        saveIndex(table, ds.ref, index_dir);
+        saveIndex(table, index_dir);
         index_save_s = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

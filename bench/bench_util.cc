@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -302,10 +303,6 @@ exmaConfig(const Dataset &ds, OccIndexMode mode)
         32, static_cast<u64>(256.0 * scale()));
     cfg.mtl.epochs = 120;
     cfg.mtl.samples_per_class = 4096;
-    cfg.naive.leaf_size = std::max<u64>(
-        256, static_cast<u64>(4096.0 * scale()));
-    cfg.naive.min_increments = cfg.mtl.min_increments;
-    cfg.naive.epochs = 20;
     return cfg;
 }
 
@@ -338,6 +335,27 @@ exmaTable(const std::string &dataset_name, OccIndexMode mode)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
+    }
+    return *it->second;
+}
+
+const NaiveKmerIndex &
+naiveIndex(const std::string &dataset_name)
+{
+    static std::map<std::string, std::unique_ptr<NaiveKmerIndex>> cache;
+    auto it = cache.find(dataset_name);
+    if (it == cache.end()) {
+        const ExmaTable &table = exmaTable(dataset_name, OccIndexMode::Mtl);
+        // Same threshold as the MTL index; coarser leaves, since each
+        // k-mer pays for its own hierarchy.
+        NaiveKmerIndex::Config cfg;
+        cfg.leaf_size = std::max<u64>(
+            256, static_cast<u64>(4096.0 * scale()));
+        cfg.min_increments = table.config().mtl.min_increments;
+        cfg.epochs = 20;
+        it = cache.emplace(dataset_name, std::make_unique<NaiveKmerIndex>(
+                                             table.occTable(), cfg))
+                 .first;
     }
     return *it->second;
 }

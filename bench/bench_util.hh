@@ -23,6 +23,7 @@
 #include "core/exma_table.hh"
 #include "genome/reads.hh"
 #include "genome/reference.hh"
+#include "learned/naive_kmer_index.hh"
 #include "lisa/lisa.hh"
 
 namespace exma {
@@ -80,6 +81,13 @@ ExmaTable::Config exmaConfig(const Dataset &ds, OccIndexMode mode);
 /** Build (and cache per dataset+mode) an EXMA table. */
 const ExmaTable &exmaTable(const std::string &dataset_name,
                            OccIndexMode mode);
+
+/**
+ * The naive per-k-mer learned index (§IV.A, the Figs. 10/12/13
+ * strawman), built in memory over the Mtl table's KmerOccTable and
+ * cached per dataset.
+ */
+const NaiveKmerIndex &naiveIndex(const std::string &dataset_name);
 
 /** Wall-clock seconds exmaTable()'s build took (builds if needed) —
  *  the denominator of the persistent-index load-vs-build ratio. */

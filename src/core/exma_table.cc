@@ -24,12 +24,6 @@ ExmaTable::ExmaTable(Parts parts) : cfg_(parts.cfg)
     switch (cfg_.mode) {
         case OccIndexMode::Exact:
             break;
-        case OccIndexMode::NaiveLearned:
-            exma_assert(parts.naive.has_value(),
-                        "table restore: naive-mode table lacks models");
-            naive_ = std::make_unique<NaiveKmerIndex>(
-                *occ_, cfg_.naive, std::move(*parts.naive));
-            break;
         case OccIndexMode::Mtl:
             exma_assert(parts.mtl.has_value(),
                         "table restore: MTL-mode table lacks models");
@@ -47,9 +41,6 @@ ExmaTable::build(const std::vector<Base> &ref)
     occ_ = std::make_unique<KmerOccTable>(ref, sa, cfg_.k);
     switch (cfg_.mode) {
         case OccIndexMode::Exact:
-            break;
-        case OccIndexMode::NaiveLearned:
-            naive_ = std::make_unique<NaiveKmerIndex>(*occ_, cfg_.naive);
             break;
         case OccIndexMode::Mtl:
             mtl_ = std::make_unique<MtlIndex>(*occ_, cfg_.mtl);
@@ -75,8 +66,6 @@ ExmaTable::occ(Kmer code, u64 pos) const
 {
     if (mtl_)
         return mtl_->occ(code, pos);
-    if (naive_)
-        return naive_->occ(code, pos);
     IndexLookup out;
     auto inc = occ_->increments(code);
     out.rank = lowerBoundRank(inc, static_cast<u32>(pos));
@@ -178,8 +167,6 @@ ExmaTable::search(std::span<const std::vector<Base> *const> queries,
     u64 linear_max = kShortList;
     if (mtl_)
         linear_max = std::min(linear_max, mtl_->config().min_increments);
-    else if (naive_)
-        linear_max = std::min(linear_max, cfg_.naive.min_increments);
     for (size_t ahead = 0; ahead < 2; ++ahead)
         for (const size_t j : lanes)
             if (first[j] + ahead < first[j + 1])
@@ -270,8 +257,6 @@ ExmaTable::indexParamCount() const
 {
     if (mtl_)
         return mtl_->paramCount();
-    if (naive_)
-        return naive_->paramCount();
     return 0;
 }
 

@@ -2,8 +2,8 @@
  * @file
  * The EXMA table (§IV.A, Fig. 8) — the paper's primary data structure —
  * bundled with its search engine: per-k-mer sorted increment lists with
- * base pointers and the MAX sentinel convention, Occ computed through a
- * learned index (MTL or naive) or exact binary search, k-step backward
+ * base pointers and the MAX sentinel convention, Occ computed through
+ * the MTL learned index or exact binary search, k-step backward
  * search with a 1-step FM-Index remainder path, and measured CHAIN/B∆I
  * size accounting (Fig. 23).
  */
@@ -22,16 +22,20 @@
 #include "fmindex/fm_index.hh"
 #include "fmindex/kmer_occ.hh"
 #include "learned/mtl_index.hh"
-#include "learned/naive_kmer_index.hh"
 
 namespace exma {
 
-/** How Occ(k-mer, pos) lookups are resolved. */
+/**
+ * How Occ(k-mer, pos) lookups are resolved. The values are the
+ * persisted config-echo words.
+ */
 enum class OccIndexMode
 {
-    Exact,        ///< binary search over increments (no model)
-    NaiveLearned, ///< one learned hierarchy per k-mer (§IV.A)
-    Mtl,          ///< shared multi-task-learning index (§IV.B)
+    Exact = 0, ///< binary search over increments (no model)
+    // 1 is reserved: the retired per-k-mer naive learned index, now
+    // only an in-memory baseline (learned/naive_kmer_index.hh).
+    // Loading it fails closed with a LoadError asking for a rebuild.
+    Mtl = 2, ///< shared multi-task-learning index (§IV.B)
 };
 
 class ExmaTable
@@ -42,7 +46,6 @@ class ExmaTable
         int k = 11;
         OccIndexMode mode = OccIndexMode::Mtl;
         MtlIndex::Config mtl;
-        NaiveKmerIndex::Config naive;
         FmIndex::Config fm;
     };
 
@@ -50,10 +53,10 @@ class ExmaTable
     ExmaTable(const std::vector<Base> &ref, const Config &cfg);
 
     /**
-     * Serialized parts of a whole table (src/io/index_io.cc): the
-     * structural parts plus exactly one learned-index part matching
-     * cfg.mode (none for Exact). Restoring trains nothing and copies
-     * no hot array — those stay borrowed from the mmap.
+     * Serialized parts of a whole table (src/io/table_io.cc): the
+     * structural parts plus the MTL model when cfg.mode is Mtl.
+     * Restoring trains nothing and copies no hot array — those stay
+     * borrowed from the mmap.
      */
     struct Parts
     {
@@ -61,8 +64,6 @@ class ExmaTable
         FmIndex::Restored fm;
         KmerOccTable::Restored occ;
         std::optional<MtlIndex::Restored> mtl;
-        std::optional<std::vector<std::pair<Kmer, Rmi<u32>::Parts>>>
-            naive;
     };
 
     /** Restore from serialized parts. */
@@ -80,7 +81,6 @@ class ExmaTable
     const KmerOccTable &occTable() const { return *occ_; }
     const FmIndex &fmIndex() const { return *fm_; }
     const MtlIndex *mtlIndex() const { return mtl_.get(); }
-    const NaiveKmerIndex *naiveIndex() const { return naive_.get(); }
 
     /** Per-k-mer base pointer and occurrence count (Fig. 8). */
     u64 baseOf(Kmer code) const { return occ_->baseOf(code); }
@@ -206,7 +206,6 @@ class ExmaTable
     std::unique_ptr<FmIndex> fm_;
     std::unique_ptr<KmerOccTable> occ_;
     std::unique_ptr<MtlIndex> mtl_;
-    std::unique_ptr<NaiveKmerIndex> naive_;
 };
 
 } // namespace exma

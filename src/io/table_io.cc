@@ -12,6 +12,9 @@ namespace exma {
 
 namespace io_detail {
 
+/** Config-echo mode word of the retired naive learned index. */
+constexpr u32 kRetiredNaiveMode = 1;
+
 /**
  * Fault hook for the mmap load path (site "io.load"): a throw rule
  * becomes a LoadError naming @p path, a delay rule a bounded sleep —
@@ -60,12 +63,6 @@ putTableConfig(BlobWriter &w, const ExmaTable::Config &cfg)
     w.putU64(cfg.mtl.samples_per_class);
     w.putF64(cfg.mtl.lr);
     w.putU64(cfg.mtl.seed);
-    w.putU64(cfg.naive.min_increments);
-    w.putU64(cfg.naive.leaf_size);
-    w.putI32(cfg.naive.hidden);
-    w.putI32(cfg.naive.epochs);
-    w.putU64(cfg.naive.train_cap);
-    w.putU64(cfg.naive.seed);
     w.putU32(cfg.fm.occ_sample);
     w.putU32(cfg.fm.sa_sample);
 }
@@ -76,7 +73,13 @@ getTableConfig(BlobReader &r)
     ExmaTable::Config cfg;
     cfg.k = r.getI32();
     const u32 mode = r.getU32();
-    if (mode > static_cast<u32>(OccIndexMode::Mtl))
+    if (mode == kRetiredNaiveMode)
+        throw LoadError(r.context() +
+                        ": config echo: occ-index mode 1 (the per-k-mer "
+                        "naive learned index) was removed; rebuild the "
+                        "index with exma-index --mode exact or mtl");
+    if (mode != static_cast<u32>(OccIndexMode::Exact) &&
+        mode != static_cast<u32>(OccIndexMode::Mtl))
         throw LoadError(r.context() + ": config echo: unknown "
                                       "occ-index mode " +
                         std::to_string(mode));
@@ -88,12 +91,6 @@ getTableConfig(BlobReader &r)
     cfg.mtl.samples_per_class = r.getU64();
     cfg.mtl.lr = r.getF64();
     cfg.mtl.seed = r.getU64();
-    cfg.naive.min_increments = r.getU64();
-    cfg.naive.leaf_size = r.getU64();
-    cfg.naive.hidden = r.getI32();
-    cfg.naive.epochs = r.getI32();
-    cfg.naive.train_cap = r.getU64();
-    cfg.naive.seed = r.getU64();
     cfg.fm.occ_sample = r.getU32();
     cfg.fm.sa_sample = r.getU32();
     return cfg;
@@ -130,14 +127,13 @@ static_assert(std::is_trivially_copyable_v<ClampedLeaf>);
 
 // Section tags. Per-file namespaces; a tag's meaning never changes
 // within a format version.
-constexpr u32 kPacMeta = 1; ///< config echo + text geometry blob
-constexpr u32 kPacText = 2; ///< 2-bit packed text, u64[]
+constexpr u32 kPacMeta = 1; ///< config echo + text length blob
 
 constexpr u32 kOccMeta = 1;      ///< k/rows/sentinels blob
 constexpr u32 kOccBases = 2;     ///< base pointers, u32[4^k + 1]
 constexpr u32 kOccRows = 3;      ///< concatenated increments, u32[]
-constexpr u32 kOccModelMeta = 4; ///< learned-model blob (mode != Exact)
-constexpr u32 kOccMtlLeaves = 5; ///< ClampedLeaf[] (MTL only)
+constexpr u32 kOccModelMeta = 4; ///< MTL model blob (Mtl only)
+constexpr u32 kOccMtlLeaves = 5; ///< ClampedLeaf[] (Mtl only)
 
 constexpr u32 kSaMeta = 1;       ///< FM geometry blob
 constexpr u32 kSaRankBlocks = 2; ///< PackedRank::Block[]
@@ -232,132 +228,19 @@ getMtlModel(const FileView &view, const MtlIndex::Config &cfg,
     return parts;
 }
 
-void
-putLeaves(BlobWriter &w, std::span<const ClampedLeaf> leaves)
-{
-    w.putU64(leaves.size());
-    for (const ClampedLeaf &l : leaves) {
-        w.putF64(l.model.w);
-        w.putF64(l.model.b);
-        w.putF64(l.ymin);
-        w.putF64(l.ymax);
-    }
-}
-
-std::vector<ClampedLeaf>
-getLeaves(BlobReader &r)
-{
-    const u64 n = r.getU64();
-    std::vector<ClampedLeaf> leaves(n);
-    for (u64 i = 0; i < n; ++i) {
-        leaves[i].model.w = r.getF64();
-        leaves[i].model.b = r.getF64();
-        leaves[i].ymin = r.getF64();
-        leaves[i].ymax = r.getF64();
-    }
-    return leaves;
-}
-
-void
-putNaiveModel(FileBuilder &fb, const NaiveKmerIndex &naive)
-{
-    std::vector<std::pair<Kmer, const Rmi<u32> *>> models;
-    models.reserve(naive.models().size());
-    for (const auto &[code, rmi] : naive.models())
-        models.emplace_back(code, &rmi);
-    std::sort(models.begin(), models.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-
-    BlobWriter w;
-    w.putU64(models.size());
-    for (const auto &[code, rmi] : models) {
-        w.putU64(code);
-        const Rmi<u32>::Config &cfg = rmi->config();
-        w.putU64(cfg.leaf_size);
-        w.putU32(cfg.mlp_root ? 1 : 0);
-        w.putI32(cfg.hidden);
-        w.putI32(cfg.epochs);
-        w.putU64(cfg.train_cap);
-        w.putF64(cfg.lr);
-        w.putU64(cfg.seed);
-        w.putF64(rmi->lowKey());
-        w.putF64(rmi->normScale());
-        w.putF64(rmi->rootLinear().w);
-        w.putF64(rmi->rootLinear().b);
-        w.putU32(rmi->rootMlp() ? 1 : 0);
-        if (rmi->rootMlp())
-            putMlp(w, *rmi->rootMlp());
-        putLeaves(w, rmi->leafArray());
-    }
-    writeBlob(fb, kOccModelMeta, w);
-}
-
-std::vector<std::pair<Kmer, Rmi<u32>::Parts>>
-getNaiveModel(const FileView &view, const std::string &what)
-{
-    const std::vector<u8> blob = view.readBlob(kOccModelMeta);
-    BlobReader r(blob, what + " (naive model)");
-    const u64 n = r.getU64();
-    std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models;
-    models.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-        const Kmer code = r.getU64();
-        Rmi<u32>::Parts parts;
-        parts.cfg.leaf_size = r.getU64();
-        parts.cfg.mlp_root = r.getU32() != 0;
-        parts.cfg.hidden = r.getI32();
-        parts.cfg.epochs = r.getI32();
-        parts.cfg.train_cap = r.getU64();
-        parts.cfg.lr = r.getF64();
-        parts.cfg.seed = r.getU64();
-        parts.lo = r.getF64();
-        parts.scale = r.getF64();
-        parts.root_lin.w = r.getF64();
-        parts.root_lin.b = r.getF64();
-        if (r.getU32() != 0)
-            parts.root_mlp = getMlp(r);
-        parts.leaves = getLeaves(r);
-        models.emplace_back(code, std::move(parts));
-    }
-    r.finish();
-    return models;
-}
-
-// --- 2-bit text packing -------------------------------------------------
-
-std::vector<u64>
-packText(std::span<const Base> text)
-{
-    std::vector<u64> words((text.size() + 31) / 32, 0);
-    for (size_t i = 0; i < text.size(); ++i)
-        words[i >> 5] |= u64{text[i] & 3u} << ((i & 31) * 2);
-    return words;
-}
-
 } // namespace
 
 // --- single-table companion files ---------------------------------------
 
 void
-saveTableFiles(const ExmaTable &table, const std::string &stem,
-               std::span<const Base> text)
+saveTableFiles(const ExmaTable &table, const std::string &stem)
 {
-    const u64 text_len = table.rows() - 1;
-    exma_assert(text.empty() || text.size() == text_len,
-                "text echo holds %zu bases, the table covers %llu",
-                text.size(), (unsigned long long)text_len);
-
     { // .exma.pac
         FileBuilder fb(kMagicPac);
         BlobWriter w;
         io_detail::putTableConfig(w, table.config());
-        w.putU64(text_len);
-        w.putU32(text.empty() ? 0 : 1);
+        w.putU64(table.rows() - 1);
         writeBlob(fb, kPacMeta, w);
-        if (!text.empty()) {
-            const std::vector<u64> words = packText(text);
-            fb.writeArray<u64>(kPacText, words);
-        }
         fb.save(stem + kExtPac);
     }
 
@@ -382,8 +265,6 @@ saveTableFiles(const ExmaTable &table, const std::string &stem,
         fb.writeArray<u32>(kOccRows, occ.allIncrements());
         if (table.mtlIndex() != nullptr)
             putMtlModel(fb, *table.mtlIndex());
-        else if (table.naiveIndex() != nullptr)
-            putNaiveModel(fb, *table.naiveIndex());
         fb.save(stem + kExtOcc);
     }
 
@@ -424,13 +305,13 @@ loadTableFiles(const std::string &stem)
     const FileView sa(out.files[2], kMagicSa);
 
     ExmaTable::Parts parts;
+    u64 text_len = 0;
 
     { // .exma.pac: config echo
         const std::vector<u8> blob = pac.readBlob(kPacMeta);
         BlobReader r(blob, stem + kExtPac);
         parts.cfg = io_detail::getTableConfig(r);
-        r.getU64(); // text length (tooling)
-        r.getU32(); // has-text flag
+        text_len = r.getU64();
         r.finish();
     }
 
@@ -451,10 +332,11 @@ loadTableFiles(const std::string &stem)
             t = r.getU64();
         const u32 mode = r.getU32();
         r.finish();
-        if (mode != static_cast<u32>(parts.cfg.mode))
+        if (mode != static_cast<u32>(parts.cfg.mode) ||
+            ro.n_rows != text_len + 1)
             throw LoadError(stem + kExtOcc +
-                            ": occ-index mode disagrees with the "
-                            "config echo in " +
+                            ": occ-index mode or row count disagrees "
+                            "with the config echo in " +
                             stem + kExtPac);
         ro.bases = Storage<u32>::borrowed(occ.viewArray<u32>(kOccBases));
         ro.rows = Storage<u32>::borrowed(occ.viewArray<u32>(kOccRows));
@@ -493,9 +375,6 @@ loadTableFiles(const std::string &stem)
         break;
     case OccIndexMode::Mtl:
         parts.mtl = getMtlModel(occ, parts.cfg.mtl, stem + kExtOcc);
-        break;
-    case OccIndexMode::NaiveLearned:
-        parts.naive = getNaiveModel(occ, stem + kExtOcc);
         break;
     }
 

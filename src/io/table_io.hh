@@ -5,9 +5,9 @@
  *
  * One table is three files at a stem:
  *
- *   stem.exma.pac   table config echo, optional 2-bit text
+ *   stem.exma.pac   table config echo and text length
  *   stem.exma.occ   EXMA table: base pointers, increments, sentinels,
- *                   and the trained learned-index model (MTL or naive)
+ *                   and the trained MTL model (Mtl mode only)
  *   stem.exma.sa    FM-index: packed-rank blocks, SA samples, sampled-
  *                   row bit vector
  *
@@ -35,7 +35,6 @@
 #define EXMA_IO_TABLE_IO_HH
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -60,12 +59,10 @@ struct ShardState
 };
 
 /**
- * Write @p table as stem.exma.{pac,occ,sa}. @p text is the text the
- * table was built over; pass empty to omit the text echo — every
- * table load works without it, it exists for tooling.
+ * Write @p table as stem.exma.{pac,occ,sa}: exactly what
+ * loadTableFiles reads back.
  */
-void saveTableFiles(const ExmaTable &table, const std::string &stem,
-                    std::span<const Base> text = {});
+void saveTableFiles(const ExmaTable &table, const std::string &stem);
 
 /**
  * Load stem.exma.{pac,occ,sa}; throws LoadError on any defect. Probes

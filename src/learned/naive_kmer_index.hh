@@ -5,14 +5,16 @@
  * increments, with a parameter budget that grows with the k-mer's
  * increment count (more leaves for more increments). K-mers at or below
  * the threshold fall back to binary search over their increments.
+ *
+ * This is the strawman the MTL index (mtl_index.hh) improves on. It is
+ * built in memory over an existing table's KmerOccTable for the
+ * figure benches and tests; tables never serve or persist it.
  */
 
 #ifndef EXMA_LEARNED_NAIVE_KMER_INDEX_HH
 #define EXMA_LEARNED_NAIVE_KMER_INDEX_HH
 
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/dna.hh"
 #include "fmindex/kmer_occ.hh"
@@ -44,24 +46,12 @@ class NaiveKmerIndex
         u64 seed = 7;
     };
 
+    /** Train one model per k-mer above the threshold; @p tab must
+     *  outlive the index. */
     NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg);
-
-    /**
-     * Restore from serialized per-k-mer model parts
-     * (src/io/index_io.cc); each Rmi's key span is re-pointed at
-     * @p tab's increments and no training runs.
-     */
-    NaiveKmerIndex(const KmerOccTable &tab, const Config &cfg,
-                   std::vector<std::pair<Kmer, Rmi<u32>::Parts>> models);
 
     /** Occ(k-mer, pos) via the per-k-mer model (or binary search). */
     IndexLookup occ(Kmer code, u64 pos) const;
-
-    /** The trained per-k-mer models (serialization). */
-    const std::unordered_map<Kmer, Rmi<u32>> &models() const
-    {
-        return models_;
-    }
 
     /** Whether @p code has its own model hierarchy. */
     bool hasModel(Kmer code) const { return models_.count(code) > 0; }

@@ -92,13 +92,12 @@ saveManifest(const std::string &dir, const BlobWriter &w)
 // --- whole-index directories --------------------------------------------
 
 void
-saveIndex(const ExmaTable &table, std::span<const Base> local_text,
-          const std::string &dir)
+saveIndex(const ExmaTable &table, const std::string &dir)
 {
     BlobWriter w;
     w.putU32(static_cast<u32>(IndexKind::Mono));
     saveManifest(dir, w);
-    saveTableFiles(table, dir + "/table", local_text);
+    saveTableFiles(table, dir + "/table");
 }
 
 void

@@ -6,7 +6,9 @@
  * distinct slice for routed ones (ShardPlan::tableOf: one file set
  * for a kmerPrefix plan, one per shard for a text plan). Table files
  * are written and read by the io layer's one save/load pair
- * (saveTableFiles / loadTableFiles in io/table_io.hh). This layer
+ * (saveTableFiles / loadTableFiles in io/table_io.hh), so mono and
+ * routed indexes store an Exact or Mtl table alike, and store nothing
+ * a load does not read. This layer
  * adds the manifest and the shard-plan/router wiring, which is why
  * it lives *above* route/shard in the module DAG (src/persist) while
  * the table layer stays below.
@@ -23,7 +25,6 @@
 #define EXMA_PERSIST_INDEX_IO_HH
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,13 +44,10 @@ enum class IndexKind : u32
 
 /**
  * Save a whole index into directory @p dir (created if absent):
- * manifest + per-table companion files. The ExmaTable overload also
- * takes the text it was built over for the `.pac` text echo (may be
- * empty). The ShardRouter overload reads everything it needs from the
- * router itself.
+ * manifest + per-table companion files, each holding exactly what
+ * loadIndex reads back.
  */
-void saveIndex(const ExmaTable &table, std::span<const Base> local_text,
-               const std::string &dir);
+void saveIndex(const ExmaTable &table, const std::string &dir);
 void saveIndex(const ShardRouter &router, const std::string &dir);
 
 /**

@@ -34,7 +34,6 @@ cfgFor(OccIndexMode mode, int k = 4)
     cfg.mode = mode;
     cfg.mtl.epochs = 15;
     cfg.mtl.samples_per_class = 1024;
-    cfg.naive.epochs = 8;
     return cfg;
 }
 
@@ -116,9 +115,7 @@ TEST(BatchSearcher, BitIdenticalToSequentialAcrossThreadCounts)
 
 TEST(BatchSearcher, AllOccModesMatchSequential)
 {
-    for (const OccIndexMode mode :
-         {OccIndexMode::Exact, OccIndexMode::NaiveLearned,
-          OccIndexMode::Mtl}) {
+    for (const OccIndexMode mode : {OccIndexMode::Exact, OccIndexMode::Mtl}) {
         const ExmaTable table(testRef(), cfgFor(mode));
         const auto qs = randomQueries(120, 31);
         const auto [expect_ivs, expect_stats] =
@@ -336,7 +333,7 @@ TEST(BatchSearcher, MmapRestoredTableMatchesScalarPaths)
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) / "batch_searcher_mmap";
     std::filesystem::remove_all(dir);
-    saveIndex(mtlTable(), testRef(), dir.string());
+    saveIndex(mtlTable(), dir.string());
     const LoadedIndex loaded = loadIndex(dir.string());
     ASSERT_NE(loaded.table, nullptr);
 

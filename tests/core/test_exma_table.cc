@@ -30,7 +30,6 @@ cfgFor(OccIndexMode mode, int k = 4)
     cfg.mode = mode;
     cfg.mtl.epochs = 15;
     cfg.mtl.samples_per_class = 1024;
-    cfg.naive.epochs = 8;
     return cfg;
 }
 
@@ -98,14 +97,14 @@ TEST_P(ExmaModeTest, BatchedSearchEqualsScalarSearch)
 {
     // k = 4 walks long lists (~256 entries on average); k = 8 walks
     // mostly short ones, and with a modelling threshold of 16 the
-    // learned modes also model lists the linear count could take.
+    // MTL mode also models lists the linear count could take.
     u64 short_lists = 0;
     u64 long_lists = 0;
     u64 modelled_lists = 0;
     for (const int k : {4, 8}) {
         ExmaTable::Config cfg = cfgFor(GetParam(), k);
         if (k == 8)
-            cfg.mtl.min_increments = cfg.naive.min_increments = 16;
+            cfg.mtl.min_increments = 16;
         const ExmaTable tab(testRef(), cfg);
         const size_t kk = static_cast<size_t>(tab.k());
         const auto &ref = testRef();
@@ -151,8 +150,7 @@ TEST_P(ExmaModeTest, BatchedSearchEqualsScalarSearch)
             for (u64 s = 0; s < expect_stats[j].kstep_iterations; ++s) {
                 i -= kk;
                 const Kmer code = packKmer(qs[j].data() + i, tab.k());
-                if ((tab.mtlIndex() && tab.mtlIndex()->hasModel(code)) ||
-                    (tab.naiveIndex() && tab.naiveIndex()->hasModel(code)))
+                if (tab.mtlIndex() && tab.mtlIndex()->hasModel(code))
                     ++modelled_lists;
                 else if (tab.frequency(code) <= ExmaTable::kShortList)
                     ++short_lists;
@@ -192,7 +190,6 @@ TEST_P(ExmaModeTest, BatchedSearchEqualsScalarSearch)
 
 INSTANTIATE_TEST_SUITE_P(Modes, ExmaModeTest,
                          ::testing::Values(OccIndexMode::Exact,
-                                           OccIndexMode::NaiveLearned,
                                            OccIndexMode::Mtl));
 
 TEST(ExmaTable, StatsCountIterations)
@@ -253,10 +250,8 @@ TEST(ExmaTable, IndexParamAccounting)
 {
     ExmaTable exact(testRef(), cfgFor(OccIndexMode::Exact));
     ExmaTable mtl(testRef(), cfgFor(OccIndexMode::Mtl));
-    ExmaTable naive(testRef(), cfgFor(OccIndexMode::NaiveLearned));
     EXPECT_EQ(exact.indexParamCount(), 0u);
     EXPECT_GT(mtl.indexParamCount(), 0u);
-    EXPECT_GT(naive.indexParamCount(), 0u);
 }
 
 TEST(ExmaTable, DifferentStepsAgree)

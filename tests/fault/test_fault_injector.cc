@@ -190,7 +190,7 @@ TEST(LoadFaultTest, ThrowAtIoLoadFailsClosedWithPathContext)
     cfg.k = 3;
     const ExmaTable table(ref, cfg);
     const std::string dir = tempDir("fault_io_load");
-    saveIndex(table, ref, dir);
+    saveIndex(table, dir);
 
     // First load fires the injected fault; the second (rule is
     // nth=1, once) succeeds — a flaky mount, not a corrupt index.
@@ -217,7 +217,7 @@ TEST(LoadFaultTest, DelayAtIoLoadOnlySlowsTheLoad)
     cfg.k = 3;
     const ExmaTable table(ref, cfg);
     const std::string dir = tempDir("fault_io_delay");
-    saveIndex(table, ref, dir);
+    saveIndex(table, dir);
 
     ScopedFaultInjector scope(std::make_shared<FaultInjector>(
         FaultInjector::parseSpec("delay@io.load:ms=10")));

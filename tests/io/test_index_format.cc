@@ -63,7 +63,6 @@ cfgFor(OccIndexMode mode, int k = 4)
     cfg.mode = mode;
     cfg.mtl.epochs = 15;
     cfg.mtl.samples_per_class = 1024;
-    cfg.naive.epochs = 8;
     return cfg;
 }
 
@@ -289,7 +288,7 @@ TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
 {
     const ExmaTable built(testRef(), cfgFor(GetParam()));
     const std::string stem = tempDir("table_rt") + "/table";
-    saveTableFiles(built, stem, testRef());
+    saveTableFiles(built, stem);
     const ShardState loaded = loadTableFiles(stem);
     expectIdenticalSearch(built, *loaded.table);
     // The hot arrays must be borrowed from the mappings, not copied.
@@ -299,18 +298,11 @@ TEST_P(TableRoundTripTest, LoadedTableSearchesIdentically)
 
 INSTANTIATE_TEST_SUITE_P(AllModes, TableRoundTripTest,
                          ::testing::Values(OccIndexMode::Exact,
-                                           OccIndexMode::NaiveLearned,
                                            OccIndexMode::Mtl),
                          [](const auto &info) {
-                             switch (info.param) {
-                             case OccIndexMode::Exact:
-                                 return "Exact";
-                             case OccIndexMode::NaiveLearned:
-                                 return "Naive";
-                             case OccIndexMode::Mtl:
-                                 return "Mtl";
-                             }
-                             return "?";
+                             return info.param == OccIndexMode::Exact
+                                        ? "Exact"
+                                        : "Mtl";
                          });
 
 TEST(TableCorruptionTest, FlippedOccByteFailsClosed)
@@ -357,7 +349,7 @@ TEST(IndexRoundTripTest, MonoDirectory)
 {
     const ExmaTable built(testRef(), cfgFor(OccIndexMode::Mtl));
     const std::string dir = tempDir("idx_mono");
-    saveIndex(built, testRef(), dir);
+    saveIndex(built, dir);
     const LoadedIndex loaded = loadIndex(dir);
     ASSERT_EQ(loaded.kind, IndexKind::Mono);
     ASSERT_NE(loaded.table, nullptr);
@@ -448,31 +440,34 @@ TEST(IndexRoundTripTest, RoutedTableLoadHonoursTheLoadFaultSite)
     EXPECT_NE(loadIndex(dir).router, nullptr);
 }
 
-TEST(IndexRoundTripTest, Version1FilesFailClosedAskingForRebuild)
+TEST(IndexRoundTripTest, OlderVersionFilesFailClosedAskingForRebuild)
 {
-    // Version 1 carried segment maps and per-shard state words that
-    // this format no longer has: a version-1 manifest and a version-1
-    // table file must each be refused with a rebuild-me LoadError.
+    // Version 1 carried segment maps and per-shard state words, version
+    // 2 the naive occ-index mode and the `.pac` text echo; this format
+    // has none of them. A manifest and a table file of either version
+    // must each be refused with a rebuild-me LoadError.
     const ShardPlan plan = ShardPlan::kmerPrefix(testRef(), 2, 64);
     RouterConfig cfg;
     cfg.table = cfgFor(OccIndexMode::Exact);
     const ShardRouter built(testRef(), plan, cfg);
-    ASSERT_EQ(kFormatVersion, 2u);
-    for (const std::string &file :
-         {std::string(kManifestName), std::string("shard0000") + kExtOcc}) {
-        const std::string dir = tempDir("idx_v1");
-        saveIndex(built, dir);
-        ASSERT_NO_THROW(loadIndex(dir));
-        patchByte(dir + "/" + file, 8, 1); // header.version
-        try {
-            loadIndex(dir);
-            ADD_FAILURE() << file << " at version 1 loaded";
-        } catch (const LoadError &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find(file), std::string::npos) << what;
-            EXPECT_NE(what.find("format version 1"), std::string::npos)
-                << what;
-            EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+    ASSERT_EQ(kFormatVersion, 3u);
+    for (const u8 version : {u8{1}, u8{2}}) {
+        for (const std::string &file : {std::string(kManifestName),
+                                        std::string("shard0000") + kExtOcc}) {
+            const std::string dir = tempDir("idx_old_version");
+            saveIndex(built, dir);
+            ASSERT_NO_THROW(loadIndex(dir));
+            patchByte(dir + "/" + file, 8, version); // header.version
+            const std::string at = "format version " + std::to_string(version);
+            try {
+                loadIndex(dir);
+                ADD_FAILURE() << file << " at " << at << " loaded";
+            } catch (const LoadError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(file), std::string::npos) << what;
+                EXPECT_NE(what.find(at), std::string::npos) << what;
+                EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+            }
         }
     }
 }
@@ -523,11 +518,56 @@ TEST(IndexRoundTripTest, RetiredAndUnknownKindsFailClosed)
     }
 }
 
+TEST(IndexRoundTripTest, RetiredAndUnknownOccModesFailClosed)
+{
+    // Mode 1 (the retired naive learned index) and mode 3 (never
+    // assigned) must be refused even when the rest of the `.pac`
+    // config echo is well formed: rewrite an intact Exact table's echo
+    // with only its mode word changed, in an intact container.
+    const ExmaTable built(testRef(), cfgFor(OccIndexMode::Exact));
+    const std::string dir = tempDir("idx_modes");
+    saveIndex(built, dir);
+    const std::string pac = dir + "/table" + kExtPac;
+    std::vector<u8> exact_blob;
+    {
+        const MappedFile file(pac);
+        exact_blob = FileView(file, kMagicPac).readBlob(1);
+    }
+    ASSERT_NO_THROW(loadIndex(dir));
+
+    for (const u32 mode : {1u, 3u}) {
+        BlobWriter w;
+        w.putI32(built.k());
+        w.putU32(mode);
+        std::vector<u8> blob = exact_blob;
+        std::copy(w.bytes().begin(), w.bytes().end(), blob.begin());
+        FileBuilder fb(kMagicPac);
+        fb.writeArray<u8>(1, blob);
+        fb.save(pac);
+        try {
+            loadIndex(dir);
+            ADD_FAILURE() << "mode " << mode << " loaded";
+        } catch (const LoadError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(pac), std::string::npos) << what;
+            if (mode == 1) {
+                EXPECT_NE(what.find("naive"), std::string::npos) << what;
+                EXPECT_NE(what.find("removed"), std::string::npos) << what;
+                EXPECT_NE(what.find("rebuild"), std::string::npos) << what;
+            } else {
+                EXPECT_NE(what.find("unknown occ-index mode 3"),
+                          std::string::npos)
+                    << what;
+            }
+        }
+    }
+}
+
 TEST(IndexRoundTripTest, CorruptManifestFailsClosed)
 {
     const ExmaTable built(testRef(), cfgFor(OccIndexMode::Exact));
     const std::string dir = tempDir("idx_corrupt_manifest");
-    saveIndex(built, testRef(), dir);
+    saveIndex(built, dir);
     const std::string manifest = dir + "/" + kManifestName;
     flipByte(manifest, fs::file_size(manifest) - 1);
     EXPECT_THROW(loadIndex(dir), LoadError);

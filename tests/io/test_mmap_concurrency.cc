@@ -85,7 +85,7 @@ TEST(MmapConcurrencyTest, OneLoadedIndexSharedByTwoThreads)
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) / "mmap_shared";
     std::filesystem::remove_all(dir);
-    saveIndex(built, ref, dir.string());
+    saveIndex(built, dir.string());
     const LoadedIndex loaded = loadIndex(dir.string());
     ASSERT_NE(loaded.table, nullptr);
 

@@ -129,16 +129,12 @@ tableCfg(OccIndexMode mode)
     ExmaTable::Config cfg;
     cfg.k = 3;
     cfg.mode = mode;
-    // Thresholds low enough that the learned modes model real lists
-    // on a 640-base reference instead of falling back everywhere.
+    // Thresholds low enough that the MTL mode models real lists on a
+    // 640-base reference instead of falling back everywhere.
     cfg.mtl.min_increments = 8;
     cfg.mtl.leaf_size = 16;
     cfg.mtl.epochs = 4;
     cfg.mtl.samples_per_class = 128;
-    cfg.naive.min_increments = 8;
-    cfg.naive.leaf_size = 16;
-    cfg.naive.epochs = 4;
-    cfg.naive.train_cap = 64;
     return cfg;
 }
 
@@ -199,9 +195,7 @@ TEST_P(RoutedOracle, HitsEqualNaiveScan)
     for (size_t i = 0; i < qs.size(); ++i)
         whole[i] = naiveHits(ref, nullptr, qs[i]);
 
-    for (const OccIndexMode mode :
-         {OccIndexMode::Exact, OccIndexMode::NaiveLearned,
-          OccIndexMode::Mtl}) {
+    for (const OccIndexMode mode : {OccIndexMode::Exact, OccIndexMode::Mtl}) {
         const int mode_id = static_cast<int>(mode);
         RouterConfig rcfg;
         rcfg.table = tableCfg(mode);

@@ -4,7 +4,7 @@
  * indexes (src/io/).
  *
  *   exma-index build  --out DIR [--dataset NAME] [--scale F]
- *                     [--fasta FILE] [--mode exact|naive|mtl] [--k K]
+ *                     [--fasta FILE] [--mode exact|mtl] [--k K]
  *                     [--layout mono|sharded|routed] [--shards N]
  *                     [--max-query-len L] [--prefix-len P] [--json FILE]
  *   exma-index info   --out DIR
@@ -17,9 +17,12 @@
  * return identical hit sets on reference-sampled queries — the CLI
  * face of the tests/io round-trip suite, used by the CI index-format
  * job. Timings print as `key=value` lines and, with --json, land in a
- * flat JSON object (table_build_s / index_save_s / index_load_s).
+ * flat JSON object (table_build_s / index_save_s / index_load_s). A
+ * malformed flag value (unknown word, non-numeric, negative or
+ * trailing-garbage number) prints the usage and exits 2.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -28,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/logging.hh"
@@ -73,13 +77,26 @@ usage(const std::string &err = "")
     std::cerr <<
         "usage:\n"
         "  exma-index build  --out DIR [--dataset NAME] [--scale F]\n"
-        "                    [--fasta FILE] [--mode exact|naive|mtl]\n"
+        "                    [--fasta FILE] [--mode exact|mtl]\n"
         "                    [--k K] [--layout mono|sharded|routed]\n"
         "                    [--shards N] [--max-query-len L]\n"
         "                    [--prefix-len P] [--json FILE]\n"
         "  exma-index info   --out DIR [--json FILE]\n"
         "  exma-index verify --out DIR <same build flags> [--queries N]\n";
     std::exit(err.empty() ? 0 : 2);
+}
+
+/** @p text as a non-negative T, the whole of it; usage() otherwise. */
+template <typename T>
+T
+number(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || stop != end || !(value >= T{}))
+        usage(flag + " needs a non-negative number, got '" + text + "'");
+    return value;
 }
 
 Options
@@ -106,23 +123,23 @@ parse(int argc, char **argv)
         else if (flag == "--dataset")
             opt.dataset = need(i);
         else if (flag == "--scale")
-            opt.scale = std::stod(need(i));
+            opt.scale = number<double>(flag, need(i));
         else if (flag == "--fasta")
             opt.fasta = need(i);
         else if (flag == "--mode")
             opt.mode = need(i);
         else if (flag == "--k")
-            opt.k = std::stoi(need(i));
+            opt.k = number<int>(flag, need(i));
         else if (flag == "--layout")
             opt.layout = need(i);
         else if (flag == "--shards")
-            opt.shards = static_cast<unsigned>(std::stoul(need(i)));
+            opt.shards = number<unsigned>(flag, need(i));
         else if (flag == "--max-query-len")
-            opt.max_query_len = std::stoull(need(i));
+            opt.max_query_len = number<u64>(flag, need(i));
         else if (flag == "--prefix-len")
-            opt.prefix_len = std::stoi(need(i));
+            opt.prefix_len = number<int>(flag, need(i));
         else if (flag == "--queries")
-            opt.queries = std::stoull(need(i));
+            opt.queries = number<u64>(flag, need(i));
         else if (flag == "--json")
             opt.json = need(i);
         else
@@ -135,8 +152,8 @@ parse(int argc, char **argv)
     if (opt.layout != "mono" && opt.layout != "sharded" &&
         opt.layout != "routed")
         usage("--layout must be mono, sharded or routed");
-    if (opt.mode != "exact" && opt.mode != "naive" && opt.mode != "mtl")
-        usage("--mode must be exact, naive or mtl");
+    if (opt.mode != "exact" && opt.mode != "mtl")
+        usage("--mode must be exact or mtl");
     if (opt.layout == "mono" && opt.shards > 1)
         usage("--layout mono cannot take --shards > 1");
     return opt;
@@ -189,9 +206,8 @@ tableConfig(const Options &opt, const Dataset &ds)
 {
     ExmaTable::Config cfg;
     cfg.k = opt.k > 0 ? opt.k : ds.exma_k;
-    cfg.mode = opt.mode == "exact"   ? OccIndexMode::Exact
-               : opt.mode == "naive" ? OccIndexMode::NaiveLearned
-                                     : OccIndexMode::Mtl;
+    cfg.mode = opt.mode == "exact" ? OccIndexMode::Exact
+                                   : OccIndexMode::Mtl;
     return cfg;
 }
 
@@ -244,12 +260,11 @@ buildIndex(const Options &opt, const Dataset &ds, Metrics &metrics)
 }
 
 void
-saveBuilt(const Index &idx, const Dataset &ds, const std::string &dir,
-          Metrics &metrics)
+saveBuilt(const Index &idx, const std::string &dir, Metrics &metrics)
 {
     const double t0 = now();
     if (idx.table)
-        saveIndex(*idx.table, ds.ref, dir);
+        saveIndex(*idx.table, dir);
     else
         saveIndex(*idx.router, dir);
     metrics.put("index_save_s", now() - t0);
@@ -300,7 +315,7 @@ cmdBuild(const Options &opt)
               << " bases, layout " << opt.layout << ", " << opt.shards
               << " shard(s), mode " << opt.mode << "\n";
     const Index idx = buildIndex(opt, ds, metrics);
-    saveBuilt(idx, ds, opt.out, metrics);
+    saveBuilt(idx, opt.out, metrics);
     metrics.put("ref_bases", static_cast<double>(ds.ref.size()));
     metrics.save(opt.json);
     std::cout << "saved " << opt.out << "\n";
