@@ -119,8 +119,8 @@ FmIndex::search(const std::vector<Base> &query, SearchTrace *trace) const
 u64
 FmIndex::lf(u64 row) const
 {
-    const u8 sym = rank_.symAt(row);
-    return count_[sym] + occ(sym, row);
+    const PackedRank::SymOcc so = rank_.symOcc(row);
+    return count_[so.sym] + so.occ;
 }
 
 u64

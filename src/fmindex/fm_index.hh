@@ -122,7 +122,11 @@ class FmIndex
     /** BWT symbol at row (0..4). */
     u8 bwtAt(u64 row) const { return rank_.symAt(row); }
 
-    /** LF mapping: row of the suffix one position earlier in the text. */
+    /**
+     * LF mapping: row of the suffix one position earlier in the text.
+     * One branch-free read of one rank block (PackedRank::symOcc);
+     * lf(primary) is 0.
+     */
     u64 lf(u64 row) const;
 
     /**
@@ -142,7 +146,10 @@ class FmIndex
      * walker that keeps kLocateLanes independent LF walks in flight
      * and prefetches each walk's next rank block and sampled-bit word
      * before it resolves any of them, so their memory latencies
-     * overlap instead of adding up.
+     * overlap instead of adding up. A step is lf(): one rank block,
+     * hardware popcount and no data-dependent branch, so when the
+     * blocks are cached the walk is bound by the step's arithmetic
+     * rather than by mispredicts or library calls.
      */
     void locate(std::span<const Interval> ivs, u64 limit,
                 std::span<std::vector<u64>> out) const;

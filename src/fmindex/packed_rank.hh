@@ -8,9 +8,13 @@
  * blocks; each block carries its four interleaved Occ checkpoints
  * (counts of A,C,G,T before the block), so the checkpoint and the
  * symbols it covers live in the same 32-byte block — one Occ(sym, i)
- * resolution touches a single cache line, via mask + popcount over at
- * most two 64-bit words, instead of a separate checkpoint array plus up
- * to occ_sample-1 byte loads.
+ * resolution touches a single cache line, instead of a separate
+ * checkpoint array plus up to occ_sample-1 byte loads. Within the
+ * block, both 64-bit words are always masked and counted (one shift
+ * builds both masks), so a lookup takes no data-dependent branch; the
+ * build passes -mpopcnt on x86-64, so each count is one instruction.
+ * symOcc() fuses the LF step's two reads — the symbol at a row and
+ * its Occ — into one pass over one block.
  *
  * The sentinel has no 2-bit code: its row stores code 0 ('A') and its
  * position is kept as `primary_`; occ() subtracts the phantom 'A' and
@@ -92,21 +96,32 @@ class PackedRank
                      (unsigned long long)i, (unsigned long long)n_);
         if (sym == 0)
             return i > primary_ ? 1 : 0;
-        const u64 c = sym - 1u;
-        const Block &b = blocks_[i >> 6];
-        const unsigned off = i & 63;
-        const u64 pat = c * kEvenBits; // symbol code replicated per lane
-        const unsigned l0 = off < 32 ? off : 32;
-        const unsigned l1 = off < 32 ? 0 : off - 32;
-        u64 r = b.ckpt[c];
-        r += static_cast<u64>(
-            std::popcount(eqLanes(b.data[0], pat) & laneMask(l0)));
-        r += static_cast<u64>(
-            std::popcount(eqLanes(b.data[1], pat) & laneMask(l1)));
-        // The primary row stores a phantom 'A'; Occ(A, i) must not
-        // count it (checkpoints include it, so one subtract fixes all).
-        r -= static_cast<u64>(c == 0) & static_cast<u64>(i > primary_);
-        return r;
+        return occCode(blocks_[i >> 6], sym - 1u, i);
+    }
+
+    /** The symbol at a row and its Occ up to that row. */
+    struct SymOcc
+    {
+        u8 sym = 0;  ///< symAt(row), 0..4
+        u64 occ = 0; ///< occ(sym, row)
+    };
+
+    /**
+     * symAt(@p row) and occ(symAt(@p row), @p row) from one read of
+     * one block, without a branch: the LF step is count[sym] + occ.
+     * The primary row gives {0, 0}, so its LF step lands on row 0.
+     */
+    SymOcc
+    symOcc(u64 row) const
+    {
+        exma_dassert(row < n_, "row %llu out of range %llu",
+                     (unsigned long long)row, (unsigned long long)n_);
+        const Block &b = blocks_[row >> 6];
+        const unsigned off = row & 63;
+        const u64 c = (b.data[off >> 5] >> (2 * (off & 31))) & 3;
+        const u64 occ = occCode(b, c, row);
+        const u64 keep = -static_cast<u64>(row != primary_);
+        return {static_cast<u8>((c + 1) & keep), occ & keep};
     }
 
     /** Start fetching the block that occ(·, @p i) and symAt(@p i) read. */
@@ -147,11 +162,28 @@ class PackedRank
         return ~(x | (x >> 1)) & kEvenBits;
     }
 
-    /** Marker-bit mask covering the first @p lanes lanes (0..32). */
-    static u64
-    laneMask(unsigned lanes)
+    /**
+     * Occ of lane code @p c (0..3, symbol c + 1) in BWT[0, i), from
+     * @p b = blocks_[i >> 6]. With off = i & 63, word 0 keeps the lanes
+     * below off, or all of them once off >= 32; word 1 keeps the lanes
+     * below off - 32, or none while off < 32. The shift is always < 64.
+     */
+    u64
+    occCode(const Block &b, u64 c, u64 i) const
     {
-        return lanes >= 32 ? ~u64{0} : (u64{1} << (2 * lanes)) - 1;
+        const unsigned off = i & 63;
+        const u64 pat = c * kEvenBits; // lane code replicated per lane
+        const u64 low = (u64{1} << ((2 * off) & 63)) - 1;
+        const u64 full = -static_cast<u64>(off >> 5);
+        const u64 r =
+            b.ckpt[c] +
+            static_cast<u64>(
+                std::popcount(eqLanes(b.data[0], pat) & (low | full))) +
+            static_cast<u64>(
+                std::popcount(eqLanes(b.data[1], pat) & (low & full)));
+        // The primary row stores a phantom 'A'; Occ(A, i) must not
+        // count it (checkpoints include it, so one subtract fixes all).
+        return r - (static_cast<u64>(c == 0) & static_cast<u64>(i > primary_));
     }
 
     u64 n_ = 0;

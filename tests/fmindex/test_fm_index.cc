@@ -5,6 +5,7 @@
 #include "common/dna.hh"
 #include "common/rng.hh"
 #include "fmindex/fm_index.hh"
+#include "fmindex/suffix_array.hh"
 
 namespace exma {
 namespace {
@@ -162,6 +163,34 @@ TEST(FmIndex, LfWalkReconstructsText)
     }
     std::reverse(rebuilt.begin(), rebuilt.end());
     EXPECT_EQ(rebuilt, ref);
+}
+
+TEST(FmIndex, LfMatchesByteScanOnEveryRow)
+{
+    // The LF oracle shares no code with PackedRank: the BWT comes from
+    // the suffix array, Count and Occ from a byte scan. Batched and
+    // scalar locate both step through lf(), so this pins both.
+    for (u64 len : {1u, 63u, 64u, 700u}) {
+        const auto ref = randomSeq(len, 43 + len);
+        const std::vector<SaIndex> sa = buildSuffixArray(ref);
+        const FmIndex fm(ref, sa);
+        std::vector<u8> bwt(sa.size());
+        u64 count[6] = {};
+        for (u64 i = 0; i < sa.size(); ++i) {
+            bwt[i] = sa[i] == 0 ? u8{0}
+                                : static_cast<u8>(ref[sa[i] - 1] + 1);
+            ++count[bwt[i] + 1];
+        }
+        for (int c = 1; c < 6; ++c)
+            count[c] += count[c - 1]; // count[s] = symbols below s
+        u64 seen[5] = {};
+        for (u64 row = 0; row < bwt.size(); ++row) {
+            const u8 s = bwt[row];
+            ASSERT_EQ(fm.lf(row), count[s] + seen[s])
+                << "len " << len << " row " << row;
+            ++seen[s];
+        }
+    }
 }
 
 TEST(FmIndex, OccIsConsistentWithBwt)

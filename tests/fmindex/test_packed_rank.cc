@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "fmindex/packed_rank.hh"
 #include "fmindex/suffix_array.hh"
+
+// Every rank lookup counts lanes with popcount; x86-64 builds must get
+// the POPCNT instruction (-mpopcnt from exma_build_flags), not a
+// library call per word.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+static_assert(false, "x86-64 builds need -mpopcnt from exma_build_flags");
+#endif
 
 namespace exma {
 namespace {
@@ -24,6 +33,34 @@ randomBwt(u64 ref_len, u64 seed)
     return bwt;
 }
 
+/**
+ * symOcc (the fused LF step) vs symAt + occ and vs the byte scan, at
+ * every row: the symbol, its Occ, and the LF row count[sym] + occ.
+ */
+void
+expectFusedStepMatchesScan(const PackedRank &rank,
+                           const std::vector<u8> &bwt)
+{
+    std::array<u64, 5> count{}; // Count(s): symbols below s
+    for (u8 s : bwt)
+        for (u8 above = s + 1; above <= 4; ++above)
+            ++count[above];
+    std::array<u64, 5> seen{}; // occurrences of each symbol before row
+    for (u64 row = 0; row < bwt.size(); ++row) {
+        const PackedRank::SymOcc so = rank.symOcc(row);
+        const u8 sym = rank.symAt(row);
+        ASSERT_EQ(so.sym, bwt[row]) << "row " << row;
+        ASSERT_EQ(so.occ, seen[bwt[row]]) << "row " << row;
+        ASSERT_EQ(count[so.sym] + so.occ, count[sym] + rank.occ(sym, row))
+            << "row " << row;
+        ++seen[bwt[row]];
+    }
+    if (rank.primary() < bwt.size()) {
+        const PackedRank::SymOcc so = rank.symOcc(rank.primary());
+        EXPECT_EQ(count[so.sym] + so.occ, 0u) << "lf(primary) != 0";
+    }
+}
+
 /** occ and symAt vs the byte scan, every symbol at every position. */
 void
 expectMatchesScan(const std::vector<u8> &bwt)
@@ -32,6 +69,7 @@ expectMatchesScan(const std::vector<u8> &bwt)
     ASSERT_EQ(rank.size(), bwt.size());
     for (u64 row = 0; row < bwt.size(); ++row)
         ASSERT_EQ(rank.symAt(row), bwt[row]) << "row " << row;
+    expectFusedStepMatchesScan(rank, bwt);
     for (u8 sym = 0; sym <= 4; ++sym) {
         u64 expect = 0; // incremental scan keeps the check O(n) per sym
         for (u64 i = 0; i <= bwt.size(); ++i) {
@@ -55,16 +93,22 @@ TEST(PackedRank, MatchesByteScanOnArbitrarySymbolStreams)
 {
     // Not a real BWT: random symbols with the sentinel at a chosen row
     // (front, block boundaries, back) — exercises the primary-row
-    // correction at every alignment.
+    // correction at every alignment. The last five streams put the row
+    // after the primary at offsets 0/31/32/33/63 of the middle block:
+    // the block edges and where the two-word lane masks switch over.
+    std::vector<std::pair<u64, u64>> cases; // (length, sentinel row)
+    for (u64 n : {5u, 64u, 65u, 192u, 321u})
+        for (u64 sentinel_at : {u64{0}, n / 2, n - 1})
+            cases.emplace_back(n, sentinel_at);
+    for (u64 off : {0u, 31u, 32u, 33u, 63u})
+        cases.emplace_back(3 * 64, 64 + off - 1);
     Rng rng(41);
-    for (u64 n : {5u, 64u, 65u, 192u, 321u}) {
-        for (u64 sentinel_at : {u64{0}, n / 2, n - 1}) {
-            std::vector<u8> bwt(n);
-            for (auto &s : bwt)
-                s = static_cast<u8>(1 + rng.below(4));
-            bwt[sentinel_at] = 0;
-            expectMatchesScan(bwt);
-        }
+    for (const auto &[n, sentinel_at] : cases) {
+        std::vector<u8> bwt(n);
+        for (auto &s : bwt)
+            s = static_cast<u8>(1 + rng.below(4));
+        bwt[sentinel_at] = 0;
+        expectMatchesScan(bwt);
     }
 }
 
